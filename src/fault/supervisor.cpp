@@ -257,7 +257,7 @@ SolveReport SolveSupervisor::solve(const WeightedGraph& g, const mincut::CrashHo
       report.rounds = report.ledger.rounds();
       report.certified = cfg_.verify;
       report.certificate =
-          cfg_.verify ? "guard battery: packing replay + witness re-sum + deterministic re-run"
+          cfg_.verify ? "guard battery: packing replay + witness re-sum + host-oracle re-check"
                       : "";
       report.checkpoint_replays = replays;
 #if !defined(UMC_OBS_DISABLED)

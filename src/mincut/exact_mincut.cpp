@@ -5,10 +5,12 @@
 #include <cstring>
 #include <deque>
 #include <exception>
+#include <iterator>
 #include <mutex>
 #include <sstream>
 
 #include "congest/gather_baseline.hpp"
+#include "mincut/cut_oracle.hpp"
 #include "mincut/two_respect.hpp"
 #include "mincut/witness.hpp"
 #include "minoragg/tree_primitives.hpp"
@@ -42,157 +44,99 @@ MincutTaskMetrics& mincut_task_metrics() {
 }
 #endif
 
-}  // namespace
-
-ExactMinCutResult exact_mincut(const WeightedGraph& g, Rng& rng, minoragg::Ledger& ledger,
-                               const PackingConfig& config) {
-  return exact_mincut(g, rng, ledger, config, ThreadPool::configured_threads());
+// One tree's 2-respecting minimum in the caller's mode, charged into the
+// tree's private ledger.
+CutResult solve_tree(const WeightedGraph& g, const std::vector<EdgeId>& edges,
+                     TreeSolveMode mode, std::int64_t index, minoragg::Ledger& ledger) {
+  if (mode == TreeSolveMode::kHost) {
+    UMC_OBS_SPAN_VAR_L(obs_tree, "mincut/host_tree_eval", "mincut", index);
+    obs_tree.arg("pool_thread", ThreadPool::current_index());
+    const RootedTree t(g, edges, /*root=*/0);
+    ledger.charge(1);  // one aggregation-round equivalent
+    ledger.bump("host_tree_evals");
+    return evaluate_two_respecting(t).best;
+  }
+  UMC_OBS_SPAN_VAR_L(obs_tree, "mincut/two_respect_tree", "mincut", index);
+  obs_tree.arg("pool_thread", ThreadPool::current_index());
+  (void)minoragg::orient_tree(g, edges, /*root=*/0, ledger);
+  return two_respecting_mincut(g, edges, /*root=*/0, ledger);
 }
 
-ExactMinCutResult exact_mincut(const WeightedGraph& g, Rng& rng, minoragg::Ledger& ledger,
-                               const PackingConfig& config, int num_threads) {
-  UMC_ASSERT(g.n() >= 2);
-  UMC_OBS_SPAN_VAR_L(obs_exact, "mincut/exact", "mincut", ledger.rounds());
-  obs_exact.arg("n", g.n());
-  obs_exact.arg("m", g.m());
-  ExactMinCutResult out;
+}  // namespace
 
+// Every min-cut 2-respects some tree of the packing (whp); solve each tree
+// and keep the best. Packing and solving are pipelined through ONE
+// TaskGraph session sharing the pool: the session root runs the packing
+// producer — whose per-phase Borůvka candidate folds themselves spawn as
+// chunk tasks (see BoruvkaPacker) — and every tree it emits immediately
+// becomes a solve task. Each solve gets a private Ledger and a disjoint
+// result slot (deque elements have stable addresses, so the closures bind
+// references taken before spawn), and everything merges below in
+// tree-index order. `ledger` and `rng` are touched only by the producer
+// during the session. The producer also records the packing into the
+// PackingCache, which the guard battery's same-seed replay hits instead of
+// repacking (see verify_mincut_result).
+//
+// With a journal attached there are two taps: trees whose solve already
+// committed are filled from the journal instead of spawning, and every live
+// solve commits its (result, ledger) under the journal mutex before
+// finishing. A producer crash is captured so the already-spawned solves
+// still run — and commit — before it propagates; a solve crash is captured
+// by the session (which drains, then rethrows).
+PipelineResult solve_pipeline(const WeightedGraph& g, Rng& rng, minoragg::Ledger& ledger,
+                              const PackingConfig& config, int num_threads, TreeSolveMode mode,
+                              SolveCheckpoint* ckpt, const CrashHook& hook) {
+  UMC_ASSERT(g.n() >= 2);
+  PipelineResult out;
   if (g.n() == 2) {
     // Single possible cut; one aggregation round reads it off.
     ledger.charge(1);
-    out.value = g.total_weight();
-    out.num_trees = 0;
+    out.best.value = g.total_weight();
+    out.best.num_trees = 0;
     return out;
   }
 
-  // Every min-cut 2-respects some tree of the packing (whp); orient each
-  // (unrooted) packing tree (Theorem 48), then solve the deterministic
-  // 2-respecting problem and keep the best. Packing and solving are
-  // pipelined through ONE TaskGraph session sharing the pool: the session
-  // root runs the packing producer — whose per-phase Borůvka candidate
-  // folds themselves spawn as chunk tasks (see BoruvkaPacker), so packing
-  // iterations parallelize on the same workers — and every tree it emits
-  // immediately becomes a solve task: tree 0 starts solving while Borůvka
-  // iteration 1 still runs, instead of waiting behind the full-packing
-  // barrier. Each solve gets a private Ledger and a disjoint result slot
-  // (deque elements have stable addresses, so the closures bind references
-  // taken before spawn), and everything merges below in tree-index order —
-  // cut value, winning-tree choice, and charged rounds are bit-identical at
-  // any thread width. `ledger` and `rng` are touched only by the producer
-  // during the session. The producer also records the packing into the
-  // PackingCache, which the guarded self-check's same-seed replay hits
-  // instead of repacking (see run_guards).
-  std::deque<std::vector<EdgeId>> trees;
-  std::deque<CutResult> results;
-  std::deque<minoragg::Ledger> tree_ledgers;
-  const int width = std::max(1, num_threads);
-  const TaskGraph::Stats stats = TaskGraph::session(width, [&] {
-    TaskGroup solves;
-    (void)tree_packing(g, rng, ledger, config, [&](std::vector<EdgeId> tree) {
-      trees.push_back(std::move(tree));
-      const std::vector<EdgeId>& edges = trees.back();
-      CutResult& slot = results.emplace_back();
-      minoragg::Ledger& tree_ledger = tree_ledgers.emplace_back();
-      const auto index = static_cast<std::int64_t>(results.size()) - 1;
-      solves.spawn([&g, &edges, &slot, &tree_ledger, index] {
-        UMC_OBS_SPAN_VAR_L(obs_tree, "mincut/two_respect_tree", "mincut", index);
-        obs_tree.arg("pool_thread", ThreadPool::current_index());
-        (void)minoragg::orient_tree(g, edges, /*root=*/0, tree_ledger);
-        slot = two_respecting_mincut(g, edges, /*root=*/0, tree_ledger);
-      });
-    });
-    solves.join();
-  });
-#if !defined(UMC_OBS_DISABLED)
-  mincut_task_metrics().spawned.inc(stats.spawned);
-  mincut_task_metrics().helped.inc(stats.helped);
-  if (stats.width > 1) mincut_task_metrics().sessions.inc();
-#else
-  (void)stats;
-#endif
-  const std::size_t num_trees = results.size();
-  out.num_trees = static_cast<int>(num_trees);
-  for (std::size_t i = 0; i < num_trees; ++i) {
-    // Sequential absorption in index order reproduces the seed's direct
-    // charging: rounds sum either way, additive counters commute, and
-    // "max_" counters take the same global max.
-    ledger.charge_sequential(tree_ledgers[i]);
-    const CutResult& r = results[i];
-    if (r.value < out.value) {  // strict: ties keep the lowest tree index
-      out.value = r.value;
-      out.e = r.e;
-      out.f = r.f;
-      out.winning_tree = static_cast<int>(i);
-    }
-  }
-  UMC_ASSERT_MSG(out.value < kInfWeight, "a packing always yields at least one cut");
-  return out;
-}
-
-ExactMinCutResult exact_mincut_resumable(const WeightedGraph& g, Rng& rng,
-                                         minoragg::Ledger& ledger, const PackingConfig& config,
-                                         int num_threads, SolveCheckpoint& ckpt,
-                                         const CrashHook& hook) {
-  UMC_ASSERT(g.n() >= 2);
-  UMC_OBS_SPAN_VAR_L(obs_exact, "mincut/exact_resumable", "mincut", ledger.rounds());
-  obs_exact.arg("n", g.n());
-  obs_exact.arg("committed_solves", ckpt.committed_solves());
-  ExactMinCutResult out;
-
-  if (g.n() == 2) {
-    // Single possible cut; nothing worth journaling.
-    ledger.charge(1);
-    out.value = g.total_weight();
-    out.num_trees = 0;
-    return out;
-  }
-
-  // Same pipelined session as exact_mincut, with two journal taps: trees
-  // whose solve already committed are filled from the journal instead of
-  // spawning, and every live solve commits its (result, ledger) under the
-  // checkpoint mutex before finishing. A producer crash is captured so the
-  // already-spawned solves still run — and commit — before it propagates;
-  // a solve crash is captured by the session (which drains, then rethrows).
   std::deque<std::vector<EdgeId>> trees;
   std::deque<CutResult> results;
   std::deque<minoragg::Ledger> tree_ledgers;
   std::mutex ckpt_mu;
   std::exception_ptr producer_crash;
-  const int width = std::max(1, num_threads);
-  const TaskGraph::Stats stats = TaskGraph::session(width, [&] {
+  const TaskGraph::Stats stats = TaskGraph::session(std::max(1, num_threads), [&] {
     TaskGroup solves;
+    const TreeSink sink = [&](std::vector<EdgeId> tree) {
+      trees.push_back(std::move(tree));
+      const std::vector<EdgeId>& edges = trees.back();
+      CutResult& slot = results.emplace_back();
+      minoragg::Ledger& tree_ledger = tree_ledgers.emplace_back();
+      const auto index = static_cast<std::int64_t>(results.size()) - 1;
+      if (ckpt != nullptr) {
+        const auto i = static_cast<std::size_t>(index);
+        const std::lock_guard<std::mutex> lock(ckpt_mu);
+        ckpt->note_tree_count(results.size());
+        if (ckpt->solved_mask[i] != 0) {
+          slot = ckpt->solved[i];
+          tree_ledger = ckpt->solve_charges[i];
+          ++ckpt->replayed_units;
+          return;  // journal replay: no solve task
+        }
+      }
+      solves.spawn([&g, &edges, &slot, &tree_ledger, index, mode, ckpt, &ckpt_mu, &hook] {
+        slot = solve_tree(g, edges, mode, index, tree_ledger);
+        if (ckpt == nullptr) return;
+        if (hook) hook(SolvePhase::kTreeSolve, index);
+        const auto i = static_cast<std::size_t>(index);
+        const std::lock_guard<std::mutex> lock(ckpt_mu);
+        ckpt->solved[i] = slot;
+        ckpt->solve_charges[i] = tree_ledger;
+        ckpt->solved_mask[i] = 1;
+      });
+    };
     try {
-      (void)tree_packing_resumable(
-          g, rng, ledger, config,
-          [&](std::vector<EdgeId> tree) {
-            trees.push_back(std::move(tree));
-            const std::vector<EdgeId>& edges = trees.back();
-            CutResult& slot = results.emplace_back();
-            minoragg::Ledger& tree_ledger = tree_ledgers.emplace_back();
-            const auto index = static_cast<std::int64_t>(results.size()) - 1;
-            {
-              const std::lock_guard<std::mutex> lock(ckpt_mu);
-              ckpt.note_tree_count(results.size());
-              if (ckpt.solved_mask[static_cast<std::size_t>(index)] != 0) {
-                slot = ckpt.solved[static_cast<std::size_t>(index)];
-                tree_ledger = ckpt.solve_charges[static_cast<std::size_t>(index)];
-                ++ckpt.replayed_units;
-                return;  // journal replay: no solve task
-              }
-            }
-            solves.spawn([&g, &edges, &slot, &tree_ledger, index, &ckpt, &ckpt_mu, &hook] {
-              UMC_OBS_SPAN_VAR_L(obs_tree, "mincut/two_respect_tree", "mincut", index);
-              obs_tree.arg("pool_thread", ThreadPool::current_index());
-              (void)minoragg::orient_tree(g, edges, /*root=*/0, tree_ledger);
-              slot = two_respecting_mincut(g, edges, /*root=*/0, tree_ledger);
-              if (hook) hook(SolvePhase::kTreeSolve, index);
-              const std::lock_guard<std::mutex> lock(ckpt_mu);
-              ckpt.solved[static_cast<std::size_t>(index)] = slot;
-              ckpt.solve_charges[static_cast<std::size_t>(index)] = tree_ledger;
-              ckpt.solved_mask[static_cast<std::size_t>(index)] = 1;
-            });
-          },
-          ckpt.packing, hook);
+      if (ckpt != nullptr) {
+        (void)tree_packing_resumable(g, rng, ledger, config, sink, ckpt->packing, hook);
+      } else {
+        (void)tree_packing(g, rng, ledger, config, sink);
+      }
     } catch (...) {
       producer_crash = std::current_exception();
     }
@@ -208,19 +152,50 @@ ExactMinCutResult exact_mincut_resumable(const WeightedGraph& g, Rng& rng,
   if (producer_crash) std::rethrow_exception(producer_crash);
 
   const std::size_t num_trees = results.size();
-  out.num_trees = static_cast<int>(num_trees);
+  out.best.num_trees = static_cast<int>(num_trees);
+  out.tree_values.reserve(num_trees);
   for (std::size_t i = 0; i < num_trees; ++i) {
+    // Sequential absorption in index order reproduces the seed's direct
+    // charging: rounds sum either way, additive counters commute, and
+    // "max_" counters take the same global max.
     ledger.charge_sequential(tree_ledgers[i]);
     const CutResult& r = results[i];
-    if (r.value < out.value) {  // strict: ties keep the lowest tree index
-      out.value = r.value;
-      out.e = r.e;
-      out.f = r.f;
-      out.winning_tree = static_cast<int>(i);
+    out.tree_values.push_back(r.value);
+    if (r.value < out.best.value) {  // strict: ties keep the lowest tree index
+      out.best.value = r.value;
+      out.best.e = r.e;
+      out.best.f = r.f;
+      out.best.winning_tree = static_cast<int>(i);
     }
   }
-  UMC_ASSERT_MSG(out.value < kInfWeight, "a packing always yields at least one cut");
+  UMC_ASSERT_MSG(out.best.value < kInfWeight, "a packing always yields at least one cut");
+  out.trees.assign(std::make_move_iterator(trees.begin()), std::make_move_iterator(trees.end()));
   return out;
+}
+
+ExactMinCutResult exact_mincut(const WeightedGraph& g, Rng& rng, minoragg::Ledger& ledger,
+                               const PackingConfig& config) {
+  return exact_mincut(g, rng, ledger, config, ThreadPool::configured_threads());
+}
+
+ExactMinCutResult exact_mincut(const WeightedGraph& g, Rng& rng, minoragg::Ledger& ledger,
+                               const PackingConfig& config, int num_threads) {
+  UMC_OBS_SPAN_VAR_L(obs_exact, "mincut/exact", "mincut", ledger.rounds());
+  obs_exact.arg("n", g.n());
+  obs_exact.arg("m", g.m());
+  return solve_pipeline(g, rng, ledger, config, num_threads, TreeSolveMode::kSimulated).best;
+}
+
+ExactMinCutResult exact_mincut_resumable(const WeightedGraph& g, Rng& rng,
+                                         minoragg::Ledger& ledger, const PackingConfig& config,
+                                         int num_threads, SolveCheckpoint& ckpt,
+                                         const CrashHook& hook) {
+  UMC_OBS_SPAN_VAR_L(obs_exact, "mincut/exact_resumable", "mincut", ledger.rounds());
+  obs_exact.arg("n", g.n());
+  obs_exact.arg("committed_solves", ckpt.committed_solves());
+  return solve_pipeline(g, rng, ledger, config, num_threads, TreeSolveMode::kSimulated, &ckpt,
+                        hook)
+      .best;
 }
 
 std::string MinCutDiagnosis::to_string() const {
@@ -241,7 +216,8 @@ bool self_check_enabled() {
 // The guard battery against `primary`: one line per failure, empty means
 // certified. Replays the packing from `seed` — the pipeline's randomness is
 // only in the packing, so a same-seed replay must reproduce the winning
-// tree. The replay shares the primary solve's key (same graph, same entry
+// tree, which the host oracle then re-evaluates independently of whichever
+// per-tree mode produced the answer. The replay shares the primary solve's key (same graph, same entry
 // rng state, same config), so it is a PackingCache hit: the recorded trees
 // stream back at output cost instead of re-running the packing iterations.
 std::vector<std::string> verify_mincut_result(const WeightedGraph& g, std::uint64_t seed,
@@ -289,14 +265,13 @@ std::vector<std::string> verify_mincut_result(const WeightedGraph& g, std::uint6
       failures.push_back("packing respect: no defining tree edge reported");
     }
 
-    // Determinism self-check: the 2-respecting solver is deterministic, so
-    // a re-run on the winning tree must reproduce a value no worse than the
-    // reported one (equal when the winner came from this tree).
-    minoragg::Ledger recheck;
-    const CutResult again = two_respecting_mincut(g, tree, /*root=*/0, recheck);
-    if (again.value != primary.value)
-      failures.push_back("determinism: 2-respecting re-run on winning tree gave " +
-                         std::to_string(again.value) + ", primary reported " +
+    // Oracle re-check: the host cut oracle — an implementation independent
+    // of the MA solver — re-evaluates the winning tree; its minimum must
+    // reproduce the reported value (the winner is that tree's minimum).
+    const TwoRespectEval again = evaluate_two_respecting(t);
+    if (again.best.value != primary.value)
+      failures.push_back("oracle mismatch: host 2-respecting evaluation of winning tree gave " +
+                         std::to_string(again.best.value) + ", primary reported " +
                          std::to_string(primary.value));
   } catch (const invariant_error& e) {
     failures.push_back(std::string("packing respect: ") + e.what());

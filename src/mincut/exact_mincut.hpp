@@ -30,14 +30,59 @@ struct ExactMinCutResult {
   int num_trees = 0;
 };
 
+// ---------------------------------------------------------------------------
+// The solve pipeline: ONE pipelined packing -> per-tree fan-out behind every
+// exact entry point (plain, resumable/supervised, and the stream's full
+// tier). Packing and solving share one TaskGraph session: the producer
+// (tree_packing, or tree_packing_resumable when a journal is attached)
+// hands each tree to a solve task the moment its Borůvka iteration ends, so
+// tree 0 solves while iteration 1 still packs. Every tree solves into a
+// private Ledger and result slot, merged in tree-index order — the cut
+// value, winning tree, and every charged counter are bit-identical at any
+// thread width.
+//
+// The per-tree step is a mode, fixed by each caller:
+//   kSimulated  orient the tree (Theorem 48) and run the deterministic
+//               2-respecting solver (Theorem 40) on the Minor-Aggregation
+//               simulator, charging its rounds — the reproduction path,
+//               where simulated round counts are the product (exact_mincut
+//               and the resumable/supervisor path).
+//   kHost       RootedTree + evaluate_two_respecting (mincut/cut_oracle.hpp),
+//               the host-speed oracle over the same candidate set. The
+//               Ledger then counts evaluations, not simulated rounds: one
+//               width-invariant round plus a "host_tree_evals" bump per
+//               tree (the packing's charges are unchanged). Used by the
+//               stream's full tier. O(n^2) memory per evaluating thread.
+// Both modes consume the identical packing, so value, winning tree, tree
+// count and the rng exit state agree; only the defining edge pair (e, f)
+// may differ under in-tree value ties.
+
+enum class TreeSolveMode {
+  kSimulated,  // orient_tree + two_respecting_mincut, charged in MA rounds
+  kHost,       // RootedTree + evaluate_two_respecting, one round per tree
+};
+
+struct PipelineResult {
+  ExactMinCutResult best;
+  /// The packing in emit order (edge ids of the input graph) and each
+  /// tree's 2-respecting minimum — the warm state a stream lineage adopts.
+  std::vector<std::vector<EdgeId>> trees;
+  std::vector<Weight> tree_values;
+};
+
+/// Requires a connected graph with n >= 2 (n == 2 charges one round and
+/// returns the single cut without packing). `num_threads` is the session
+/// width. With `ckpt` non-null every committed unit is journaled and a
+/// re-entry replays it (see exact_mincut_resumable); `hook` fires only then.
+[[nodiscard]] PipelineResult solve_pipeline(const WeightedGraph& g, Rng& rng,
+                                            minoragg::Ledger& ledger, const PackingConfig& config,
+                                            int num_threads, TreeSolveMode mode,
+                                            SolveCheckpoint* ckpt = nullptr,
+                                            const CrashHook& hook = nullptr);
+
 /// Requires a connected graph with n >= 2. Randomness is used only by the
-/// tree packing; the 2-respecting solver is deterministic.
-///
-/// The per-tree 2-respecting solves run as parallel jobs on the shared
-/// util::ThreadPool (width = the UMC_THREADS knob), each into its own
-/// Ledger; results and ledgers are merged in tree-index order, so the cut
-/// value, winning tree, and every charged round count are bit-identical at
-/// any thread width.
+/// tree packing; the 2-respecting solver is deterministic. The pipeline in
+/// kSimulated mode at the UMC_THREADS width.
 [[nodiscard]] ExactMinCutResult exact_mincut(const WeightedGraph& g, Rng& rng,
                                              minoragg::Ledger& ledger,
                                              const PackingConfig& config = {});
@@ -49,16 +94,15 @@ struct ExactMinCutResult {
                                              minoragg::Ledger& ledger,
                                              const PackingConfig& config, int num_threads);
 
-/// Checkpoint-resumable solve: the same pipelined packing + per-tree
-/// 2-respecting fan-out, journaling every committed unit into `ckpt` so a
-/// crash_error thrown by `hook` (or escaping the producer) loses only
-/// in-flight work. Re-entering with the same (graph, config, seed) and the
-/// surviving `ckpt` replays the journal and recomputes the rest; the final
-/// result, `ledger` charges, and `rng` exit state are bit-identical to an
-/// uninterrupted exact_mincut run no matter where (or whether) crashes
-/// struck. A crash propagates out of this function after every already-
-/// spawned tree solve finished committing — the pipelined units are not
-/// thrown away with the exception.
+/// Checkpoint-resumable solve: the kSimulated pipeline journaling every
+/// committed unit into `ckpt`, so a crash_error thrown by `hook` (or
+/// escaping the producer) loses only in-flight work. Re-entering with the
+/// same (graph, config, seed) and the surviving `ckpt` replays the journal
+/// and recomputes the rest; the final result, `ledger` charges, and `rng`
+/// exit state are bit-identical to an uninterrupted exact_mincut run no
+/// matter where (or whether) crashes struck. A crash propagates out of this
+/// function after every already-spawned tree solve finished committing —
+/// the pipelined units are not thrown away with the exception.
 [[nodiscard]] ExactMinCutResult exact_mincut_resumable(const WeightedGraph& g, Rng& rng,
                                                        minoragg::Ledger& ledger,
                                                        const PackingConfig& config,
@@ -83,9 +127,10 @@ struct ExactMinCutResult {
 //     identity), which must reproduce the reported value;
 //   * packing respect check — the winning tree index is in range and its
 //     edge set is a spanning tree of g (RootedTree validation);
-//   * determinism self-check — re-running the deterministic 2-respecting
-//     solver on the winning tree reproduces the value, and the replayed
-//     packing (same seed) yields the same tree count.
+//   * oracle re-check — the host cut oracle (evaluate_two_respecting, an
+//     implementation independent of the MA solver) re-evaluates the winning
+//     tree and must reproduce the value, and the replayed packing (same
+//     seed) yields the same tree count.
 
 struct GuardConfig {
   /// Force self-checks on regardless of UMC_SELF_CHECK.
@@ -120,7 +165,7 @@ struct GuardedMinCutResult {
 
 /// The guard battery as a standalone oracle: validates `primary` against a
 /// same-seed packing replay (PackingCache hit in the common case), the
-/// witness re-sum, and the deterministic 2-respecting re-run. Returns one
+/// witness re-sum, and the host-oracle re-evaluation of the winning tree. Returns one
 /// structured line per failed guard — empty means certified. This is the
 /// cross-tier verifier the SolveSupervisor and the differential fault sweep
 /// use to certify whichever tier produced an exact answer.

@@ -114,6 +114,11 @@ void FairScheduler::worker_loop() {
     --done.inflight;
     --inflight_;
     if (!done.queue.empty()) work_cv_.notify_one();
+    // Workers parked while the backlog's tenants sat at their in-flight cap
+    // get no other wake-up once close() has passed: without this, the last
+    // dispatch leaves them waiting on a drained queue and run() never
+    // returns.
+    if (closed_ && queued_ == 0) work_cv_.notify_all();
     if (queued_ == 0 && inflight_ == 0) idle_cv_.notify_all();
   }
 }

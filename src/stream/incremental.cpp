@@ -9,9 +9,7 @@
 #include "fault/supervisor.hpp"
 #include "mincut/cut_oracle.hpp"
 #include "mincut/packing_cache.hpp"
-#include "mincut/two_respect.hpp"
 #include "mincut/witness.hpp"
-#include "minoragg/tree_primitives.hpp"
 #include "obs/metrics.hpp"
 #include "tree/rooted_tree.hpp"
 #include "tree/spanning.hpp"
@@ -208,11 +206,11 @@ StreamSolveReport IncrementalMinCut::solve() {
   return rep;
 }
 
-// Mirrors exact_mincut's pipelined session charge-for-charge (same packing
-// producer, same per-tree ledgers merged in index order) while additionally
-// capturing each tree's solved value — the warm state the next batches
-// start from. Certified by the same guard battery; a guard failure lands on
-// the SolveSupervisor ladder and the packing is NOT adopted.
+// The solve pipeline in kHost mode — the same packing producer and fan-out
+// as exact_mincut, with each tree evaluated by the host cut oracle — whose
+// per-tree minima are the warm state the next batches start from.
+// Certified by the guard battery; a guard failure lands on the
+// SolveSupervisor ladder and the packing is NOT adopted.
 void IncrementalMinCut::full_solve(StreamSolveReport& rep, const std::string& reason) {
   const WeightedGraph& g = sg_.current();
   rep.tier = StreamTier::kFullSolve;
@@ -229,40 +227,10 @@ void IncrementalMinCut::full_solve(StreamSolveReport& rep, const std::string& re
   ++pack_epoch_;  // the next full pack draws a fresh lineage either way
   Rng rng(seed);
   const Rng::State entry_state = rng.state();
-
-  std::deque<std::vector<EdgeId>> trees;
-  std::deque<mincut::CutResult> results;
-  std::deque<minoragg::Ledger> tree_ledgers;
-  const int width = std::max(1, cfg_.num_threads);
-  (void)TaskGraph::session(width, [&] {
-    TaskGroup solves;
-    (void)mincut::tree_packing(g, rng, rep.ledger, cfg_.packing, [&](std::vector<EdgeId> tree) {
-      trees.push_back(std::move(tree));
-      const std::vector<EdgeId>& edges = trees.back();
-      mincut::CutResult& slot = results.emplace_back();
-      minoragg::Ledger& tree_ledger = tree_ledgers.emplace_back();
-      solves.spawn([&g, &edges, &slot, &tree_ledger] {
-        (void)minoragg::orient_tree(g, edges, /*root=*/0, tree_ledger);
-        slot = mincut::two_respecting_mincut(g, edges, /*root=*/0, tree_ledger);
-      });
-    });
-    solves.join();
-  });
-
-  mincut::ExactMinCutResult best;
-  const std::size_t num_trees = results.size();
-  best.num_trees = static_cast<int>(num_trees);
-  for (std::size_t i = 0; i < num_trees; ++i) {
-    rep.ledger.charge_sequential(tree_ledgers[i]);
-    const mincut::CutResult& r = results[i];
-    if (r.value < best.value) {  // strict: ties keep the lowest tree index
-      best.value = r.value;
-      best.e = r.e;
-      best.f = r.f;
-      best.winning_tree = static_cast<int>(i);
-    }
-  }
-  UMC_ASSERT_MSG(best.value < mincut::kInfWeight, "a packing always yields at least one cut");
+  mincut::PipelineResult solved = mincut::solve_pipeline(
+      g, rng, rep.ledger, cfg_.packing, cfg_.num_threads, mincut::TreeSolveMode::kHost);
+  const mincut::ExactMinCutResult& best = solved.best;
+  const std::size_t num_trees = solved.trees.size();
 
   rep.exact = best;
   rep.value = best.value;
@@ -315,16 +283,10 @@ void IncrementalMinCut::full_solve(StreamSolveReport& rep, const std::string& re
   // materialized id order, so sortedness carries over), the journal
   // re-bases, and the detector forgets — the packing is the new base
   // certificate.
-  trees_.clear();
-  trees_.reserve(num_trees);
-  for (const std::vector<EdgeId>& tree : trees) {
-    std::vector<EdgeId> slots;
-    slots.reserve(tree.size());
-    for (const EdgeId e : tree) slots.push_back(sg_.slot_of_current(e));
-    trees_.push_back(std::move(slots));
-  }
-  tree_value_.resize(num_trees);
-  for (std::size_t i = 0; i < num_trees; ++i) tree_value_[i] = results[i].value;
+  trees_ = std::move(solved.trees);
+  for (std::vector<EdgeId>& tree : trees_)
+    for (EdgeId& e : tree) e = sg_.slot_of_current(e);
+  tree_value_ = std::move(solved.tree_values);
   tree_dec_at_.assign(num_trees, 0);
   tree_broken_.assign(num_trees, 0);
   tree_runner_.assign(num_trees, mincut::kInfWeight);
@@ -704,7 +666,7 @@ void IncrementalMinCut::adopt_winner(const WeightedGraph& g, int winner,
   const RootedTree t(g, cur, /*root=*/0);
   const mincut::TwoRespectEval ev = mincut::evaluate_two_respecting(t);
   UMC_ASSERT_MSG(ev.best.value == best.value,
-                 "cut oracle must reproduce the adopted winner's MA-solved value");
+                 "cut oracle must reproduce the adopted winner's value");
   last_side_ = ev.side;
   last_value_ = best.value;
   last_winner_ = winner;

@@ -33,9 +33,13 @@
 //                     the answer is the true min over trees. The solve set
 //                     is decided in one width-independent pass and ledgers
 //                     merge in tree-index order.
-//   kFullSolve        re-pack + full pipelined solve (mirrors exact_mincut
-//                     charge-for-charge), certified by the guard battery,
-//                     then the journal re-bases and the cache is primed.
+//   kFullSolve        re-pack + the solve pipeline in kHost mode (same
+//                     packing and fan-out as exact_mincut, each tree
+//                     evaluated by the cut oracle, so the ledger counts one
+//                     round per tree instead of the simulated 2-respecting
+//                     rounds; value and winning tree match exact_mincut's),
+//                     certified by the guard battery, then the journal
+//                     re-bases and the cache is primed.
 //
 // The cheap change-detection tier (Nanongkai–Su style) decides when warm
 // answers stop being trustworthy: a mergeable Misra–Gries ChangeDetector

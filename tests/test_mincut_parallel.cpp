@@ -4,8 +4,10 @@
 // Ledger counter, not just the gated subset — must be bit-identical at
 // widths 1 through 8. Width 1 is the inline sequential reference (TaskGroup
 // spawns degrade to direct calls), so these sweeps pin the parallel
-// schedule to the sequential semantics. Plus unit tests for the TaskGraph
-// scheduler itself and the streaming tree-packing overload it feeds on.
+// schedule to the sequential semantics. The solve pipeline's two per-tree
+// modes (simulated and host) are diffed against each other at every width.
+// Plus unit tests for the TaskGraph scheduler itself and the streaming
+// tree-packing overload it feeds on.
 
 #include <gtest/gtest.h>
 
@@ -91,6 +93,85 @@ TEST(MincutParallel, DominantTreeBitIdenticalAcrossWidths) {
   mincut::PackingConfig config;
   config.max_trees = 2;
   expect_width_invariant(g, config);
+}
+
+// ---------------------------------------------------------------------------
+// Pipeline modes: kHost (cut oracle per tree) and kSimulated (Theorem 40 on
+// the MA simulator) consume the identical packing, so they must agree on
+// everything but the ledger — at every width — and the kHost ledger must
+// itself be width-invariant.
+
+struct ModeRun {
+  mincut::PipelineResult result;
+  Rng::State rng_exit{};
+  std::int64_t rounds = 0;
+  std::map<std::string, std::int64_t, std::less<>> counters;
+};
+
+ModeRun run_mode(const WeightedGraph& g, int threads, mincut::TreeSolveMode mode,
+                 const mincut::PackingConfig& config) {
+  Rng rng(17);
+  minoragg::Ledger ledger;
+  ModeRun run;
+  run.result = mincut::solve_pipeline(g, rng, ledger, config, threads, mode);
+  run.rng_exit = rng.state();
+  run.rounds = ledger.rounds();
+  run.counters = ledger.counters();
+  return run;
+}
+
+void expect_modes_agree(const WeightedGraph& g, mincut::PackingConfig config = {}) {
+  config.use_cache = false;  // each run packs for itself
+  const ModeRun host1 = run_mode(g, 1, mincut::TreeSolveMode::kHost, config);
+  EXPECT_EQ(host1.counters.at("host_tree_evals"), host1.result.best.num_trees);
+  for (int t = 1; t <= 8; ++t) {
+    const ModeRun host = run_mode(g, t, mincut::TreeSolveMode::kHost, config);
+    const ModeRun sim = run_mode(g, t, mincut::TreeSolveMode::kSimulated, config);
+    EXPECT_EQ(host.result.best.value, sim.result.best.value) << "threads=" << t;
+    EXPECT_EQ(host.result.best.winning_tree, sim.result.best.winning_tree) << "threads=" << t;
+    EXPECT_EQ(host.result.best.num_trees, sim.result.best.num_trees) << "threads=" << t;
+    EXPECT_EQ(host.result.tree_values, sim.result.tree_values) << "threads=" << t;
+    EXPECT_EQ(host.result.trees, sim.result.trees) << "threads=" << t;
+    EXPECT_TRUE(host.rng_exit == sim.rng_exit) << "threads=" << t;
+    EXPECT_EQ(host.rounds, host1.rounds) << "threads=" << t;
+    EXPECT_EQ(host.counters, host1.counters) << "threads=" << t;
+  }
+}
+
+TEST(PipelineModes, ErdosRenyiHostMatchesSimulated) {
+  Rng rng(41);
+  expect_modes_agree(erdos_renyi_connected(32, 0.2, rng));
+}
+
+TEST(PipelineModes, PlanarGridHostMatchesSimulated) {
+  Rng rng(43);
+  expect_modes_agree(random_planar_grid(6, 6, 0.4, rng));
+}
+
+TEST(PipelineModes, RingExpanderHostMatchesSimulated) {
+  Rng rng(47);
+  expect_modes_agree(ring_expander(32, 3, rng));
+}
+
+TEST(PipelineModes, CompleteHostMatchesSimulated) {
+  expect_modes_agree(complete_graph(14));
+}
+
+TEST(PipelineModes, SampledDenseHostMatchesSimulated) {
+  // Heavy weights on a dense graph push lambda past the direct threshold:
+  // the Karger-sampling route (case B) draws its sample from the rng before
+  // packing, which both modes must consume identically.
+  Rng rng(53);
+  WeightedGraph g = erdos_renyi_connected(24, 0.5, rng);
+  randomize_weights(g, 40, 90, rng);
+  mincut::PackingConfig config;
+  config.max_trees = 12;
+  config.use_cache = false;
+  Rng probe_rng(17);
+  minoragg::Ledger probe_ledger;
+  ASSERT_TRUE(mincut::tree_packing(g, probe_rng, probe_ledger, config).sampled)
+      << "family must exercise the sampling route";
+  expect_modes_agree(g, config);
 }
 
 TEST(MincutParallel, StreamingPackingMatchesRetainingOverload) {

@@ -9,10 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baseline/stoer_wagner.hpp"
@@ -208,6 +212,34 @@ TEST(FairScheduler, WeightsScaleServiceRate) {
     ++(who == "heavy" ? heavy : light);
     EXPECT_LE(light, heavy / 2 + 2) << "after " << (heavy + light) << " dispatches";
   }
+}
+
+TEST(FairScheduler, CloseWithCappedBacklogReleasesEveryWorker) {
+  // Workers park while the only backlogged tenant sits at its in-flight
+  // cap. After close(), the dispatch of that tenant's last job must still
+  // leave every parked worker able to see the drained queue and exit, or
+  // run() never returns.
+  SchedulerConfig cfg;
+  cfg.width = 4;
+  FairScheduler sched(cfg);
+  std::promise<void> started;
+  std::promise<void> gate;
+  const std::shared_future<void> open = gate.get_future().share();
+  std::atomic<int> ran{0};
+  ASSERT_EQ(sched.submit("a", [&started, open] {
+    started.set_value();
+    open.wait();
+  }),
+            Admit::kAdmitted);
+  ASSERT_EQ(sched.submit("a", [&ran] { ran.fetch_add(1); }), Admit::kAdmitted);
+  std::thread runner([&sched] { sched.run(); });
+  started.get_future().wait();
+  // Let the idle workers reach their wait on the capped backlog.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  sched.close();
+  gate.set_value();
+  runner.join();
+  EXPECT_EQ(ran.load(), 1);
 }
 
 TEST(FairScheduler, AdmissionControlRejectsStructurally) {
