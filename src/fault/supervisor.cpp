@@ -118,6 +118,7 @@ SolveReport SolveSupervisor::solve(const WeightedGraph& g, const mincut::CrashHo
   SolveReport report;
   UMC_OBS_SPAN_VAR_L(obs_solve, "supervisor/solve", "fault", g.n());
   obs_solve.arg("entry_tier", static_cast<std::int64_t>(cfg_.entry_tier));
+  obs_solve.arg("tree_mode", static_cast<std::int64_t>(cfg_.tree_mode));
 
   std::int64_t spent_rounds = 0;
   const auto over_budget = [&](std::string& why) {
@@ -195,8 +196,9 @@ SolveReport SolveSupervisor::solve(const WeightedGraph& g, const mincut::CrashHo
       minoragg::Ledger ledger;
       mincut::ExactMinCutResult result;
       try {
-        result = mincut::exact_mincut_resumable(g, rng, ledger, cfg_.packing, cfg_.num_threads,
-                                                ckpt, hook);
+        result = mincut::solve_pipeline(g, rng, ledger, cfg_.packing, cfg_.num_threads,
+                                        cfg_.tree_mode, &ckpt, hook)
+                     .best;
       } catch (const mincut::crash_error& e) {
         spent_rounds += ledger.rounds();
         record(SolveTier::kExact, attempt++, std::string("crash: ") + e.what(), ledger.rounds(),

@@ -59,6 +59,14 @@ struct SupervisorConfig {
   std::uint64_t seed = 1;
   /// Thread width of the exact tier's solve session.
   int num_threads = 1;
+  /// Per-tree step of the exact tier's pipeline (mincut::solve_pipeline).
+  /// kSimulated charges Theorem 40's Minor-Aggregation rounds — the fault
+  /// sweep and the supervisor tests, where rounds are reported. kHost runs
+  /// the host cut oracle and charges one round per evaluated tree on top of
+  /// the packing's — the serving paths (mincutd's classic SOLVE, the
+  /// stream's full-tier rescue). Either way the value, winning tree and
+  /// tree count agree, and round_budget counts what the ledger charged.
+  mincut::TreeSolveMode tree_mode = mincut::TreeSolveMode::kSimulated;
   /// Charged-round ceiling summed across exact-tier attempts (0 = none):
   /// once exceeded, the supervisor stops retrying and degrades.
   std::int64_t round_budget = 0;

@@ -186,18 +186,6 @@ ExactMinCutResult exact_mincut(const WeightedGraph& g, Rng& rng, minoragg::Ledge
   return solve_pipeline(g, rng, ledger, config, num_threads, TreeSolveMode::kSimulated).best;
 }
 
-ExactMinCutResult exact_mincut_resumable(const WeightedGraph& g, Rng& rng,
-                                         minoragg::Ledger& ledger, const PackingConfig& config,
-                                         int num_threads, SolveCheckpoint& ckpt,
-                                         const CrashHook& hook) {
-  UMC_OBS_SPAN_VAR_L(obs_exact, "mincut/exact_resumable", "mincut", ledger.rounds());
-  obs_exact.arg("n", g.n());
-  obs_exact.arg("committed_solves", ckpt.committed_solves());
-  return solve_pipeline(g, rng, ledger, config, num_threads, TreeSolveMode::kSimulated, &ckpt,
-                        hook)
-      .best;
-}
-
 std::string MinCutDiagnosis::to_string() const {
   std::ostringstream os;
   os << (used_fallback ? "degraded to gather baseline" : "primary path healthy");

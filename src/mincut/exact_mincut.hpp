@@ -32,11 +32,11 @@ struct ExactMinCutResult {
 
 // ---------------------------------------------------------------------------
 // The solve pipeline: ONE pipelined packing -> per-tree fan-out behind every
-// exact entry point (plain, resumable/supervised, and the stream's full
-// tier). Packing and solving share one TaskGraph session: the producer
-// (tree_packing, or tree_packing_resumable when a journal is attached)
-// hands each tree to a solve task the moment its Borůvka iteration ends, so
-// tree 0 solves while iteration 1 still packs. Every tree solves into a
+// exact entry point (plain, supervised with a checkpoint journal, and the
+// stream's full tier). Packing and solving share one TaskGraph session: the
+// producer (tree_packing, or tree_packing_resumable when a journal is
+// attached) hands each tree to a solve task the moment its Borůvka
+// iteration ends, so tree 0 solves while iteration 1 still packs. Every tree solves into a
 // private Ledger and result slot, merged in tree-index order — the cut
 // value, winning tree, and every charged counter are bit-identical at any
 // thread width.
@@ -45,14 +45,16 @@ struct ExactMinCutResult {
 //   kSimulated  orient the tree (Theorem 48) and run the deterministic
 //               2-respecting solver (Theorem 40) on the Minor-Aggregation
 //               simulator, charging its rounds — the reproduction path,
-//               where simulated round counts are the product (exact_mincut
-//               and the resumable/supervisor path).
+//               where simulated round counts are the product (exact_mincut,
+//               and the supervisor as tools/fault_sweep runs it).
 //   kHost       RootedTree + evaluate_two_respecting (mincut/cut_oracle.hpp),
 //               the host-speed oracle over the same candidate set. The
 //               Ledger then counts evaluations, not simulated rounds: one
 //               width-invariant round plus a "host_tree_evals" bump per
 //               tree (the packing's charges are unchanged). Used by the
-//               stream's full tier. O(n^2) memory per evaluating thread.
+//               serving paths: the stream's full tier and its rescue, and
+//               mincutd's supervised SOLVE. O(n^2) memory per evaluating
+//               thread.
 // Both modes consume the identical packing, so value, winning tree, tree
 // count and the rng exit state agree; only the defining edge pair (e, f)
 // may differ under in-tree value ties.
@@ -72,8 +74,18 @@ struct PipelineResult {
 
 /// Requires a connected graph with n >= 2 (n == 2 charges one round and
 /// returns the single cut without packing). `num_threads` is the session
-/// width. With `ckpt` non-null every committed unit is journaled and a
-/// re-entry replays it (see exact_mincut_resumable); `hook` fires only then.
+/// width.
+///
+/// Checkpoint-resumable solve: with `ckpt` non-null every committed unit is
+/// journaled into it, so a crash_error thrown by `hook` (which fires only
+/// then) or escaping the producer loses only in-flight work. Re-entering
+/// with the same (graph, config, mode, seed) and the surviving `ckpt`
+/// replays the journal and recomputes the rest; the result, `ledger`
+/// charges and `rng` exit state are bit-identical to an uninterrupted run
+/// no matter where (or whether) crashes struck. A crash propagates out
+/// after every already-spawned tree solve finished committing — the
+/// pipelined units are not thrown away with the exception. The
+/// SolveSupervisor's exact tier is this loop.
 [[nodiscard]] PipelineResult solve_pipeline(const WeightedGraph& g, Rng& rng,
                                             minoragg::Ledger& ledger, const PackingConfig& config,
                                             int num_threads, TreeSolveMode mode,
@@ -93,21 +105,6 @@ struct PipelineResult {
 [[nodiscard]] ExactMinCutResult exact_mincut(const WeightedGraph& g, Rng& rng,
                                              minoragg::Ledger& ledger,
                                              const PackingConfig& config, int num_threads);
-
-/// Checkpoint-resumable solve: the kSimulated pipeline journaling every
-/// committed unit into `ckpt`, so a crash_error thrown by `hook` (or
-/// escaping the producer) loses only in-flight work. Re-entering with the
-/// same (graph, config, seed) and the surviving `ckpt` replays the journal
-/// and recomputes the rest; the final result, `ledger` charges, and `rng`
-/// exit state are bit-identical to an uninterrupted exact_mincut run no
-/// matter where (or whether) crashes struck. A crash propagates out of this
-/// function after every already-spawned tree solve finished committing —
-/// the pipelined units are not thrown away with the exception.
-[[nodiscard]] ExactMinCutResult exact_mincut_resumable(const WeightedGraph& g, Rng& rng,
-                                                       minoragg::Ledger& ledger,
-                                                       const PackingConfig& config,
-                                                       int num_threads, SolveCheckpoint& ckpt,
-                                                       const CrashHook& hook = nullptr);
 
 // ---------------------------------------------------------------------------
 // Graceful degradation: guarded execution with runtime self-checks.

@@ -286,6 +286,7 @@ Response Engine::do_solve(const Request& req) {
   fault::SupervisorConfig scfg;
   scfg.seed = seed;
   scfg.num_threads = 1;  // the pool hosts the request workers; see scheduler.hpp
+  scfg.tree_mode = mincut::TreeSolveMode::kHost;
   scfg.round_budget = cfg_.solve_round_budget;
   scfg.wall_budget_ms = cfg_.solve_wall_budget_ms;
   scfg.verify = cfg_.verify;

@@ -15,6 +15,9 @@
 // Every SOLVE runs under a fault::SolveSupervisor with the engine's round/
 // wall budgets, so a pathological instance degrades through the ladder
 // (answering tier reported in the response) instead of wedging a worker.
+// Its exact tier runs the host per-tree mode (mincut::TreeSolveMode::kHost):
+// the host cut oracle evaluates each packing tree, so a response's rounds
+// and the round budget count packing rounds plus one per evaluated tree.
 // The session's private PackingCache is plumbed into the solve AND the
 // supervisor's certification replay through PackingConfig::cache, which is
 // why a repeated (graph, seed) request is a cache hit instead of a repack.
@@ -55,7 +58,8 @@ namespace umc::server {
 struct EngineConfig {
   /// Worker width of the request scheduler (parallelism across tenants;
   /// inside a worker the solve's task graph degrades to inline — see
-  /// docs/PARALLELISM.md).
+  /// docs/PARALLELISM.md). mincutd passes 2 unless --width says otherwise;
+  /// 1 here keeps the dispatch order the in-process tests pin.
   int scheduler_width = 1;
   /// Resident-session ceiling: LOAD of a new tenant beyond it evicts the
   /// least recently used idle session (soft cap: nothing idle, no evict).

@@ -252,6 +252,7 @@ void IncrementalMinCut::full_solve(StreamSolveReport& rep, const std::string& re
       fault::SupervisorConfig scfg;
       scfg.seed = mix64(seed ^ 0x726573637565ULL);  // "rescue"
       scfg.num_threads = cfg_.num_threads;
+      scfg.tree_mode = mincut::TreeSolveMode::kHost;
       scfg.packing = cfg_.packing;
       const fault::SolveReport rescue = fault::SolveSupervisor(scfg).solve(g);
       rep.value = rescue.value;

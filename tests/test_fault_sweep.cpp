@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <utility>
@@ -214,6 +215,119 @@ TEST(Supervisor, CrashPlanHookIsDeterministicAndFiresOncePerSite) {
   }
   EXPECT_TRUE(crashed_once) << "crash_p=0.5 over 64 sites";
   EXPECT_FALSE(crash_plan_hook({}));  // crash-free plan: null hook
+}
+
+// The serving paths (mincutd's classic SOLVE, the stream's full-tier
+// rescue) run the exact tier with the host per-tree step. The journal, the
+// crash retries, the reseeds and the guards must work there exactly as in
+// the simulated mode the sweep drives.
+
+SupervisorConfig host_config(std::uint64_t seed) {
+  SupervisorConfig cfg;
+  cfg.seed = seed;
+  cfg.tree_mode = mincut::TreeSolveMode::kHost;
+  cfg.max_retries = 12;
+  cfg.packing.max_trees = 16;     // mincutd's default tree cap
+  cfg.packing.use_cache = false;  // every attempt packs, so packing sites can crash
+  return cfg;
+}
+
+TEST(SupervisorHostMode, CrashResumeIsBitIdenticalToUninterruptedSolve) {
+  const WeightedGraph g = test_graph(315, 28);
+  const SupervisorConfig cfg = host_config(41);
+  FaultPlan plan;
+  plan.seed = 43;
+  plan.crash_p = 0.25;
+
+  const SolveReport clean = SolveSupervisor(cfg).solve(g);
+  const SolveReport resumed = SolveSupervisor(cfg).solve(g, crash_plan_hook(plan));
+  ASSERT_EQ(clean.tier, SolveTier::kExact);
+  ASSERT_EQ(resumed.tier, SolveTier::kCheckpointReplay) << resumed.to_string();
+  EXPECT_GT(resumed.checkpoint_replays, 0);
+  // The plan strikes both packing iterations and host tree evaluations.
+  EXPECT_TRUE(std::any_of(resumed.attempts.begin(), resumed.attempts.end(),
+                          [](const TierAttempt& a) {
+                            return a.outcome.find("tree-solve") != std::string::npos;
+                          }));
+  EXPECT_TRUE(resumed.certified);
+  EXPECT_EQ(resumed.value, baseline::stoer_wagner(g).value);
+  EXPECT_EQ(resumed.value, clean.value);
+  EXPECT_EQ(resumed.exact.winning_tree, clean.exact.winning_tree);
+  EXPECT_EQ(resumed.exact.num_trees, clean.exact.num_trees);
+  EXPECT_EQ(resumed.ledger.rounds(), clean.ledger.rounds());
+  EXPECT_EQ(resumed.ledger.counters(), clean.ledger.counters());
+  EXPECT_EQ(clean.ledger.counters().at("host_tree_evals"), clean.exact.num_trees);
+
+  // The report carries no rng, so run the exact tier's resume loop directly
+  // (fresh rng and ledger per attempt, one journal) for the exit state.
+  Rng want_rng(cfg.seed);
+  minoragg::Ledger want_ledger;
+  const mincut::PipelineResult want = mincut::solve_pipeline(
+      g, want_rng, want_ledger, cfg.packing, cfg.num_threads, cfg.tree_mode);
+  const mincut::CrashHook hook = crash_plan_hook(plan);
+  mincut::SolveCheckpoint ckpt;
+  int crashes = 0;
+  for (;;) {
+    Rng rng(cfg.seed);
+    minoragg::Ledger ledger;
+    try {
+      const mincut::PipelineResult got = mincut::solve_pipeline(
+          g, rng, ledger, cfg.packing, cfg.num_threads, cfg.tree_mode, &ckpt, hook);
+      EXPECT_EQ(got.best.value, want.best.value);
+      EXPECT_EQ(got.best.winning_tree, want.best.winning_tree);
+      EXPECT_EQ(got.trees, want.trees);
+      EXPECT_EQ(ledger.rounds(), want_ledger.rounds());
+      EXPECT_EQ(ledger.counters(), want_ledger.counters());
+      EXPECT_EQ(rng.state(), want_rng.state());
+      break;
+    } catch (const mincut::crash_error&) {
+      ASSERT_LE(++crashes, 64) << "crash protocol failed to converge";
+    }
+  }
+  EXPECT_GT(crashes, 0);
+  EXPECT_GT(ckpt.replayed_units, 0);
+}
+
+TEST(SupervisorHostMode, CorruptedResultTriggersReseededRetry) {
+  const WeightedGraph g = test_graph(317);
+  SupervisorConfig cfg = host_config(47);
+  cfg.inject_result_corruption = true;
+  const SolveReport report = SolveSupervisor(cfg).solve(g);
+  EXPECT_EQ(report.tier, SolveTier::kExact);
+  EXPECT_EQ(report.value, baseline::stoer_wagner(g).value);
+  EXPECT_TRUE(report.certified);
+  EXPECT_EQ(report.retries, 1);
+  ASSERT_EQ(report.attempts.size(), 2u);
+  EXPECT_NE(report.attempts[0].outcome.find("guard"), std::string::npos);
+  EXPECT_EQ(report.attempts[1].outcome, "ok");
+}
+
+TEST(SupervisorHostMode, AgreesWithSimulatedModeOnEveryFamily) {
+  mincut::PackingCache::global().clear();
+  Rng rng(319);
+  WeightedGraph grid = random_planar_grid(5, 6, 0.3, rng);
+  randomize_weights(grid, 1, 9, rng);
+  WeightedGraph complete = complete_graph(12);
+  randomize_weights(complete, 1, 9, rng);
+  const std::pair<const char*, WeightedGraph> cases[] = {
+      {"er", test_graph(321)}, {"planar_grid", std::move(grid)}, {"complete", std::move(complete)}};
+  for (const auto& [name, g] : cases) {
+    for (const std::uint64_t seed : {53ULL, 59ULL}) {
+      SupervisorConfig cfg;
+      cfg.seed = seed;
+      const SolveReport sim = SolveSupervisor(cfg).solve(g);
+      cfg.tree_mode = mincut::TreeSolveMode::kHost;
+      const SolveReport host = SolveSupervisor(cfg).solve(g);
+      SCOPED_TRACE(std::string(name) + " seed " + std::to_string(seed));
+      ASSERT_EQ(sim.tier, SolveTier::kExact);
+      ASSERT_EQ(host.tier, SolveTier::kExact);
+      EXPECT_TRUE(host.certified);
+      EXPECT_EQ(host.value, baseline::stoer_wagner(g).value);
+      EXPECT_EQ(host.value, sim.value);
+      EXPECT_EQ(host.exact.winning_tree, sim.exact.winning_tree);
+      EXPECT_EQ(host.exact.num_trees, sim.exact.num_trees);
+    }
+  }
 }
 
 TEST(FaultSweep, StandardMatrixHasNoSilentWrongAnswers) {

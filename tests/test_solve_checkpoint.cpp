@@ -23,6 +23,15 @@
 namespace umc::mincut {
 namespace {
 
+/// The supervisor's exact-tier call in the simulated mode: the pipeline
+/// with a checkpoint journal attached.
+ExactMinCutResult resumable_solve(const WeightedGraph& g, Rng& rng, minoragg::Ledger& ledger,
+                                  const PackingConfig& config, int threads, SolveCheckpoint& ckpt,
+                                  const CrashHook& hook = nullptr) {
+  return solve_pipeline(g, rng, ledger, config, threads, TreeSolveMode::kSimulated, &ckpt, hook)
+      .best;
+}
+
 struct Baseline {
   ExactMinCutResult result;
   minoragg::Ledger ledger;
@@ -79,7 +88,7 @@ void solve_with_crashes(const WeightedGraph& g, std::uint64_t seed, const Packin
     r.rng = Rng(seed);  // crash contract: reset the generator to entry state
     r.ledger = minoragg::Ledger();
     try {
-      r.result = exact_mincut_resumable(g, r.rng, r.ledger, config, threads, r.ckpt, hook);
+      r.result = resumable_solve(g, r.rng, r.ledger, config, threads, r.ckpt, hook);
       return;
     } catch (const crash_error&) {
       continue;
@@ -104,7 +113,7 @@ TEST(SolveCheckpoint, UninterruptedResumableMatchesExactMincut) {
   Rng rng(7);
   minoragg::Ledger ledger;
   SolveCheckpoint ckpt;
-  const ExactMinCutResult got = exact_mincut_resumable(g, rng, ledger, config, 2, ckpt);
+  const ExactMinCutResult got = resumable_solve(g, rng, ledger, config, 2, ckpt);
   expect_same(want, got, ledger, rng, "no crashes");
   EXPECT_EQ(ckpt.replayed_units, 0);
   EXPECT_TRUE(ckpt.packing.complete());
@@ -122,7 +131,7 @@ TEST(SolveCheckpoint, ResumableHitsPackingCacheWhenCheckpointEmpty) {
   Rng rng(9);
   minoragg::Ledger ledger;
   SolveCheckpoint ckpt;
-  const ExactMinCutResult got = exact_mincut_resumable(g, rng, ledger, config, 1, ckpt);
+  const ExactMinCutResult got = resumable_solve(g, rng, ledger, config, 1, ckpt);
   expect_same(want, got, ledger, rng, "cache replay");
   EXPECT_GT(PackingCache::global().hits(), hits_before);
 }
@@ -140,10 +149,10 @@ TEST(SolveCheckpoint, CrashAtEveryCommitPointResumesBitIdentical) {
     SolveCheckpoint probe;
     Rng rng(11);
     minoragg::Ledger ledger;
-    (void)exact_mincut_resumable(g, rng, ledger, config, 2, probe,
-                                 [&](SolvePhase phase, std::int64_t index) {
-                                   sites.emplace_back(phase, index);
-                                 });
+    (void)resumable_solve(g, rng, ledger, config, 2, probe,
+                          [&](SolvePhase phase, std::int64_t index) {
+                            sites.emplace_back(phase, index);
+                          });
   }
   ASSERT_GE(sites.size(), 3u);
 
@@ -173,14 +182,14 @@ TEST(SolveCheckpoint, MidPackingCrashResumesFromLastCommittedIteration) {
     Rng rng(13);
     minoragg::Ledger ledger;
     try {
-      (void)exact_mincut_resumable(g, rng, ledger, config, 2, ckpt,
-                                   [&](SolvePhase phase, std::int64_t index) {
-                                     if (phase == SolvePhase::kPackingIteration &&
-                                         index == crash_at && !crashed) {
-                                       crashed = true;
-                                       throw crash_error(phase, index);
-                                     }
-                                   });
+      (void)resumable_solve(g, rng, ledger, config, 2, ckpt,
+                            [&](SolvePhase phase, std::int64_t index) {
+                              if (phase == SolvePhase::kPackingIteration &&
+                                  index == crash_at && !crashed) {
+                                crashed = true;
+                                throw crash_error(phase, index);
+                              }
+                            });
       FAIL() << "crash hook did not fire";
     } catch (const crash_error& e) {
       EXPECT_EQ(e.phase(), SolvePhase::kPackingIteration);
@@ -196,7 +205,7 @@ TEST(SolveCheckpoint, MidPackingCrashResumesFromLastCommittedIteration) {
   // prefix), and the merged outcome is bit-identical to never crashing.
   Rng rng(13);
   minoragg::Ledger ledger;
-  const ExactMinCutResult got = exact_mincut_resumable(
+  const ExactMinCutResult got = resumable_solve(
       g, rng, ledger, config, 2, ckpt, [&](SolvePhase phase, std::int64_t) {
         if (phase == SolvePhase::kPackingIteration) ++resumed_live;
       });
@@ -256,13 +265,13 @@ TEST(SolveCheckpoint, SampledRouteCrashResumesBitIdentical) {
     rng = Rng(19);
     ledger = minoragg::Ledger();
     try {
-      got = exact_mincut_resumable(g, rng, ledger, config, 2, ckpt,
-                                   [&](SolvePhase phase, std::int64_t index) {
-                                     const auto it = crashes.find({phase, index});
-                                     if (it == crashes.end()) return;
-                                     crashes.erase(it);
-                                     throw crash_error(phase, index);
-                                   });
+      got = resumable_solve(g, rng, ledger, config, 2, ckpt,
+                            [&](SolvePhase phase, std::int64_t index) {
+                              const auto it = crashes.find({phase, index});
+                              if (it == crashes.end()) return;
+                              crashes.erase(it);
+                              throw crash_error(phase, index);
+                            });
       break;
     } catch (const crash_error&) {
       EXPECT_TRUE(ckpt.packing.sampled);
@@ -288,14 +297,14 @@ TEST(SolveCheckpoint, ResumingAgainstDifferentSolveIsRejected) {
     Rng rng(23);
     minoragg::Ledger ledger;
     bool crashed = false;
-    EXPECT_THROW((void)exact_mincut_resumable(g1, rng, ledger, config, 1, ckpt,
-                                              [&](SolvePhase phase, std::int64_t index) {
-                                                if (phase == SolvePhase::kPackingIteration &&
-                                                    !crashed) {
-                                                  crashed = true;
-                                                  throw crash_error(phase, index);
-                                                }
-                                              }),
+    EXPECT_THROW((void)resumable_solve(g1, rng, ledger, config, 1, ckpt,
+                                       [&](SolvePhase phase, std::int64_t index) {
+                                         if (phase == SolvePhase::kPackingIteration &&
+                                             !crashed) {
+                                           crashed = true;
+                                           throw crash_error(phase, index);
+                                         }
+                                       }),
                  crash_error);
   }
   ASSERT_FALSE(ckpt.empty());
@@ -303,7 +312,7 @@ TEST(SolveCheckpoint, ResumingAgainstDifferentSolveIsRejected) {
   // Same checkpoint, different graph: the binding assertion must fire.
   Rng rng(23);
   minoragg::Ledger ledger;
-  EXPECT_THROW((void)exact_mincut_resumable(g2, rng, ledger, config, 1, ckpt),
+  EXPECT_THROW((void)resumable_solve(g2, rng, ledger, config, 1, ckpt),
                invariant_error);
 }
 

@@ -12,6 +12,12 @@
 // bounded admission, and every SOLVE runs under the fault supervisor's
 // degradation ladder. Diagnostics go to stderr; the wire owns stdout.
 //
+// Rounds: the classic SOLVE path solves each packing tree with the host cut
+// oracle, not the Minor-Aggregation simulation, so `--round-budget` and the
+// `rounds=` reply field count the packing's rounds plus one per evaluated
+// tree. Simulated round counts are reported by the benches and
+// tools/fault_sweep, not by the service.
+//
 // Shutdown: SIGINT/SIGTERM (or a SHUTDOWN frame) stops admission — further
 // data-plane requests are answered with a structured SHUTTING_DOWN error —
 // drains queued and in-flight solves, flushes the trace and metrics sinks,
@@ -22,7 +28,8 @@
 //   --max-sessions   resident-session LRU ceiling (default 16)
 //   --queue          global admission queue depth (default 256)
 //   --tenant-queue   per-tenant admission queue depth (default 64)
-//   --round-budget   per-solve charged-round budget, 0 = none (default 0)
+//   --round-budget   per-solve charged-round budget (packing rounds plus one
+//                    per evaluated tree), 0 = none (default 0)
 //   --wall-budget-ms per-solve wall budget, 0 = none (default 0)
 //   --trees          default packing tree cap for SOLVE (default 16)
 //   --seed           base seed of the per-tenant rng streams (default 1)
@@ -55,8 +62,16 @@ namespace {
 volatile std::sig_atomic_t g_stop = 0;
 void on_signal(int) { g_stop = 1; }
 
+/// EngineConfig with the daemon's own defaults: two request workers
+/// (EngineConfig keeps width 1, the dispatch order in-process tests pin).
+umc::server::EngineConfig daemon_defaults() {
+  umc::server::EngineConfig cfg;
+  cfg.scheduler_width = 2;
+  return cfg;
+}
+
 struct Options {
-  umc::server::EngineConfig engine;
+  umc::server::EngineConfig engine = daemon_defaults();
   std::string trace_path;
   std::string metrics_path;
 };
