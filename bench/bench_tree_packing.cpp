@@ -84,7 +84,7 @@ BENCHMARK(BM_PackingDense)->Arg(16)->Arg(24)->Iterations(1)->Unit(benchmark::kMi
 /// reproducible regardless of the UMC_THREADS knob. The config forces the
 /// direct greedy route (case A) on a lambda=136 graph, capped at 512 MST
 /// iterations: the measurement is the packing phase itself, not the
-/// lambda-seed/sampling setup both producers share.
+/// lambda-seed/sampling setup both modes of the packing step share.
 void run_packing_producer(benchmark::State& state, bool fast_path, int threads) {
   const WeightedGraph g = benchutil::weighted_er(96, 8.0, 21);
   std::uint64_t h = 0;

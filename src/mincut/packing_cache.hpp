@@ -4,19 +4,19 @@
 // state, packing configuration).
 //
 // The packing producer is deterministic given its inputs: the graph, the
-// generator state at entry, and the PackingConfig. exact_mincut_guarded
-// exploits exactly that determinism for its self-check — it replays the
-// packing from the same seed and compares — which previously meant paying
-// the full ~2·λ·log m MST iterations a second time. The cache stores, per
+// generator state at entry, and the PackingConfig. The cache stores, per
 // key, everything a replay observes: the emitted trees (in order), the
 // packing metadata, the ledger charges, and the generator state at exit.
 // A hit streams the stored trees through the caller's sink, absorbs the
 // stored charges, and fast-forwards the caller's Rng — bit-identical to a
 // recompute for every downstream consumer, at O(output) cost.
 //
-// The same mechanism is the warm-start foundation the ROADMAP's streaming
-// and daemon items call for: a resident session re-solving an unchanged
-// graph (or replaying a tenant request) hits instead of repacking.
+// Its consumers: verify_mincut_result replays the packing from the primary
+// solve's seed to check the winning tree, which is a hit on the primary
+// solve's key instead of a second ~2·λ·log m MST iterations; a resident
+// session re-solving an unchanged graph hits the same way; and the stream's
+// delta-aware keyspace (below) lets an identical update lineage adopt a
+// warm packing.
 //
 // Keys fingerprint the full edge list (order, endpoints, weights), so any
 // topology or weight mutation misses naturally — that IS the invalidation

@@ -24,9 +24,10 @@ namespace {
 struct PackingMetrics {
   obs::Counter& resort_edges = obs::MetricsRegistry::global().counter(
       "umc_packing_resort_edges_total", {},
-      "Edges re-costed by the packing producer. The fast path repairs only "
-      "the <= n-1 edges whose load changed since the previous iteration; "
-      "the reference recomputes all m every iteration.");
+      "Edges re-costed by the greedy packing step (the producer and the "
+      "stream's tree repair). The fast path re-costs all m at its first "
+      "step, then only the <= n-1 edges whose load changed since the "
+      "previous step; the reference recomputes all m every step.");
   obs::Counter& cache_hits = obs::MetricsRegistry::global().counter(
       "umc_packing_cache_hits_total", {},
       "tree_packing calls served by replaying a PackingCache entry.");
@@ -61,84 +62,6 @@ Weight binomial_sample(Weight w, double p, Rng& rng) {
   return std::clamp<Weight>(static_cast<Weight>(std::llround(value)), 0, w);
 }
 
-/// Greedy Thorup packing: I iterations of minimum-cost spanning tree where
-/// the cost of an edge is its packing load normalized by multiplicity. Each
-/// finished tree is handed to `emit` — in streaming mode that pipelines it
-/// straight into a solve task; in retaining mode the caller just collects.
-///
-/// Two producers, one contract. The reference (`fast == false`) drives a
-/// full Minor-Aggregation simulation per Borůvka phase and recomputes all m
-/// costs per iteration. The fast path selects the same (cost, edge id)-
-/// minimal trees through the reusable BoruvkaPacker — per-phase candidate
-/// folds run chunk-parallel on the ambient TaskGraph session — and between
-/// iterations repairs only the <= n-1 costs whose load changed. Both paths
-/// charge the ledger identically: one Definition 9 round per phase, one
-/// termination-check round, one boruvka_iterations bump per phase (the fast
-/// path replays those charges from its own — provably equal — phase count).
-void greedy_pack(const WeightedGraph& g, std::span<const Weight> multiplicity, int iterations,
-                 minoragg::Ledger& ledger, const PackingConfig& config, const TreeSink& emit) {
-  const auto m = static_cast<std::size_t>(g.m());
-  if (!config.use_fast_path) {
-    std::vector<std::int64_t> load(m, 0);
-    std::vector<std::int64_t> cost(m, 0);
-    for (int it = 0; it < iterations; ++it) {
-      // cost = load / multiplicity, in fixed point (2^20) so Borůvka can use
-      // integer keys; ties broken by edge id inside Borůvka.
-      for (EdgeId e = 0; e < g.m(); ++e) {
-        cost[static_cast<std::size_t>(e)] =
-            (load[static_cast<std::size_t>(e)] << 20) / multiplicity[static_cast<std::size_t>(e)];
-      }
-#if !defined(UMC_OBS_DISABLED)
-      packing_metrics().resort_edges.inc(static_cast<std::int64_t>(m));
-#endif
-      std::vector<EdgeId> tree = minoragg::boruvka_mst(g, cost, ledger);
-      for (const EdgeId e : tree) ++load[static_cast<std::size_t>(e)];
-      ledger.bump("packing_iterations");
-      emit(std::move(tree));
-    }
-    return;
-  }
-
-  // Fast path. All scratch lives on thread-local arenas: the packer's DSU,
-  // worklists, and chunk slots, plus the load/cost rows here, are checked
-  // out once per call and keep their capacity across packing sessions, so
-  // steady-state iterations allocate only the emitted tree itself.
-  ScratchLease<BoruvkaPacker> packer;
-  packer->set_min_chunk_edges(static_cast<std::size_t>(std::max(config.chunk_min_edges, 1)));
-  ScratchLease<std::vector<std::int64_t>> load_lease;
-  ScratchLease<std::vector<std::int64_t>> cost_lease;
-  std::vector<std::int64_t>& load = *load_lease;
-  std::vector<std::int64_t>& cost = *cost_lease;
-  load.assign(m, 0);
-  cost.assign(m, 0);  // load 0 => cost 0 for every multiplicity: the full
-                      // initial re-cost, done once instead of per iteration
-#if !defined(UMC_OBS_DISABLED)
-  packing_metrics().resort_edges.inc(static_cast<std::int64_t>(m));
-#endif
-  for (int it = 0; it < iterations; ++it) {
-    UMC_OBS_SPAN_VAR_L(obs_iter, "mincut/packing_iter", "mincut", it);
-    obs_iter.arg("pool_thread", ThreadPool::current_index());
-    const BoruvkaPacker::Result r = packer->run(g, cost);
-    // Replay the Minor-Aggregation producer's charges from the (identical)
-    // phase structure: one round per selection phase, one final round that
-    // observes the single supernode, one iteration bump per phase.
-    ledger.charge(r.phases + 1);
-    ledger.bump("boruvka_iterations", r.phases);
-    std::vector<EdgeId> tree(r.tree.begin(), r.tree.end());
-    // Incremental re-costing: only the tree's n-1 edges changed load.
-    for (const EdgeId e : tree) {
-      const auto i = static_cast<std::size_t>(e);
-      ++load[i];
-      cost[i] = (load[i] << 20) / multiplicity[i];
-    }
-#if !defined(UMC_OBS_DISABLED)
-    packing_metrics().resort_edges.inc(static_cast<std::int64_t>(tree.size()));
-#endif
-    ledger.bump("packing_iterations");
-    emit(std::move(tree));
-  }
-}
-
 /// The cache a config resolves to: its session-scoped instance when set,
 /// the process-wide one otherwise.
 PackingCache& cache_for(const PackingConfig& config) {
@@ -161,307 +84,86 @@ std::uint64_t packing_config_fingerprint(const PackingConfig& config) {
   return h;
 }
 
+GreedyPackingStep::GreedyPackingStep(const WeightedGraph& g, const PackingConfig& config)
+    : g_(g), fast_(config.use_fast_path) {
+  // Loads, costs, and the packer's DSU, worklists and chunk slots live on
+  // thread-local arenas that keep their capacity across packing sessions,
+  // so steady-state fast-path steps allocate only the returned tree.
+  packer_->set_min_chunk_edges(static_cast<std::size_t>(std::max(config.chunk_min_edges, 1)));
+  load_->assign(static_cast<std::size_t>(g.m()), 0);
+  cost_->assign(static_cast<std::size_t>(g.m()), 0);
+}
+
+void GreedyPackingStep::add_load(EdgeId e) {
+  UMC_ASSERT_MSG(!costed_, "loads are seeded before the first step");
+  ++(*load_)[static_cast<std::size_t>(e)];
+}
+
+// cost = load / multiplicity, in fixed point (2^20) so Borůvka can use
+// integer keys; ties are broken by edge id inside Borůvka.
+void GreedyPackingStep::recost(std::size_t e) {
+  (*cost_)[e] = ((*load_)[e] << 20) / g_.edges()[e].w;
+}
+
+std::vector<EdgeId> GreedyPackingStep::next(minoragg::Ledger& ledger) {
+  if (!fast_ || !costed_) {
+    // The reference re-costs every edge each step; the fast path only once,
+    // then repairs the <= n-1 costs whose load changed.
+    const auto m = static_cast<std::size_t>(g_.m());
+    for (std::size_t e = 0; e < m; ++e) recost(e);
+    costed_ = true;
+#if !defined(UMC_OBS_DISABLED)
+    packing_metrics().resort_edges.inc(static_cast<std::int64_t>(m));
+#endif
+  }
+  std::vector<EdgeId> tree;
+  if (fast_) {
+    const BoruvkaPacker::Result r = packer_->run(g_, *cost_);
+    // Replay the Minor-Aggregation producer's charges from the (identical)
+    // phase structure: one round per selection phase, one final round that
+    // observes the single supernode, one iteration bump per phase.
+    ledger.charge(r.phases + 1);
+    ledger.bump("boruvka_iterations", r.phases);
+    tree.assign(r.tree.begin(), r.tree.end());
+  } else {
+    tree = minoragg::boruvka_mst(g_, *cost_, ledger);
+  }
+  for (const EdgeId e : tree) {
+    const auto i = static_cast<std::size_t>(e);
+    ++(*load_)[i];
+    if (fast_) recost(i);
+  }
+#if !defined(UMC_OBS_DISABLED)
+  if (fast_) packing_metrics().resort_edges.inc(static_cast<std::int64_t>(tree.size()));
+#endif
+  return tree;
+}
+
 namespace {
 
-std::uint64_t config_fingerprint(const PackingConfig& config) {
-  return packing_config_fingerprint(config);
-}
-
-/// The producer proper: packs into `pack_ledger` (all packing charges are
-/// additive, so a single sequential absorption by the caller is
-/// bit-identical to direct charging) and emits through `sink`.
-TreePacking pack_uncached(const WeightedGraph& g, Rng& rng, minoragg::Ledger& pack_ledger,
-                          const PackingConfig& config, const TreeSink& sink) {
-  TreePacking out;
-
-  // Seed lambda (substitution for the [17] approx black box; see header).
-  out.lambda_seed = baseline::stoer_wagner(g).value;
-  const std::int64_t logn = ceil_log2(static_cast<std::uint64_t>(g.n()) + 1) + 1;
-  const std::int64_t logm = ceil_log2(static_cast<std::uint64_t>(g.m()) + 2) + 1;
-  pack_ledger.charge(logn * logn);  // the approx-min-cut's polylog round budget
-
-  const auto cap = [&config](std::int64_t iters) {
-    iters = std::max<std::int64_t>(iters, 1);
-    if (config.max_trees > 0) iters = std::min<std::int64_t>(iters, config.max_trees);
-    return static_cast<int>(iters);
-  };
-
-  if (static_cast<double>(out.lambda_seed) <=
-      config.direct_threshold_c * static_cast<double>(logn)) {
-    // Case (A): lambda = O(log n) — direct greedy packing.
-    std::vector<Weight> multiplicity(static_cast<std::size_t>(g.m()));
-    for (EdgeId e = 0; e < g.m(); ++e) multiplicity[static_cast<std::size_t>(e)] = g.edge(e).w;
-    greedy_pack(g, multiplicity, cap(2 * out.lambda_seed * logm), pack_ledger, config, sink);
-    return out;
-  }
-
-  // Case (B): Karger-sample with p = C log n / lambda, then pack the sample.
-  out.sampled = true;
-  const double base_p =
-      config.sample_c * static_cast<double>(logn) / static_cast<double>(out.lambda_seed);
-  for (double p = base_p;; p = std::min(1.0, 2 * p)) {
-    std::vector<Weight> multiplicity(static_cast<std::size_t>(g.m()));
-    WeightedGraph sample(g.n());
-    for (EdgeId e = 0; e < g.m(); ++e) {
-      const Weight s = binomial_sample(g.edge(e).w, p, rng);
-      multiplicity[static_cast<std::size_t>(e)] = s;
-      if (s > 0) sample.add_edge(g.edge(e).u, g.edge(e).v, s);
-    }
-    if (!is_connected(sample)) {
-      UMC_ASSERT_MSG(p < 1.0, "sampling at p = 1 keeps the graph connected");
-      continue;  // resample denser (whp never needed at the theorem's C)
-    }
-    // The sampled min-cut value = Theta(C log n) whp; seed the iteration
-    // count from it exactly (same substitution as above).
-    const Weight lambda_sample = baseline::stoer_wagner(sample).value;
-    // Pack on the original graph topology restricted to sampled edges.
-    std::vector<EdgeId> present;  // sample edge -> original edge id
-    for (EdgeId e = 0; e < g.m(); ++e)
-      if (multiplicity[static_cast<std::size_t>(e)] > 0) present.push_back(e);
-    std::vector<Weight> sample_mult;
-    sample_mult.reserve(present.size());
-    for (const EdgeId e : present) sample_mult.push_back(multiplicity[static_cast<std::size_t>(e)]);
-    // Map each tree back to original edge ids before it leaves the packer.
-    greedy_pack(sample, sample_mult, cap(2 * lambda_sample * logm), pack_ledger, config,
-                [&present, &sink](std::vector<EdgeId> tree) {
-                  for (EdgeId& e : tree) e = present[static_cast<std::size_t>(e)];
-                  sink(std::move(tree));
-                });
-    return out;
-  }
-}
-
-/// Resumable core: mirrors pack_uncached, but commits each unit of work
-/// into `ckpt` (firing `hook` just before the commit) and charges each
-/// unit into its own ledger so a replayed prefix absorbs exactly what the
-/// live run charged. Bit-equality with pack_uncached holds because the
-/// setup and the greedy loop are deterministic given (graph, config, rng
-/// entry state) and charge_sequential is associative over the unit split.
-TreePacking pack_resumable(const WeightedGraph& g, Rng& rng, minoragg::Ledger& pack_ledger,
-                           const PackingConfig& config, const TreeSink& sink,
-                           PackingCheckpoint& ckpt, const CrashHook& hook) {
-  TreePacking out;
-  const std::int64_t logn = ceil_log2(static_cast<std::uint64_t>(g.n()) + 1) + 1;
-  const std::int64_t logm = ceil_log2(static_cast<std::uint64_t>(g.m()) + 2) + 1;
-  const auto cap = [&config](std::int64_t iters) {
-    iters = std::max<std::int64_t>(iters, 1);
-    if (config.max_trees > 0) iters = std::min<std::int64_t>(iters, config.max_trees);
-    return static_cast<int>(iters);
-  };
-
-  if (!ckpt.setup_done) {
-    minoragg::Ledger setup;
-    out.lambda_seed = baseline::stoer_wagner(g).value;
-    setup.charge(logn * logn);  // the approx-min-cut's polylog round budget
-    std::vector<Weight> multiplicity;
-    int iterations = 0;
-    if (static_cast<double>(out.lambda_seed) <=
-        config.direct_threshold_c * static_cast<double>(logn)) {
-      // Case (A): direct greedy packing on the full multiplicities; nothing
-      // worth journaling beyond the iteration target (rng untouched).
-      iterations = cap(2 * out.lambda_seed * logm);
-    } else {
-      // Case (B): Karger-sample (the only randomness of the whole solve).
-      out.sampled = true;
-      const double base_p =
-          config.sample_c * static_cast<double>(logn) / static_cast<double>(out.lambda_seed);
-      for (double p = base_p;; p = std::min(1.0, 2 * p)) {
-        multiplicity.assign(static_cast<std::size_t>(g.m()), 0);
-        WeightedGraph sample(g.n());
-        for (EdgeId e = 0; e < g.m(); ++e) {
-          const Weight s = binomial_sample(g.edge(e).w, p, rng);
-          multiplicity[static_cast<std::size_t>(e)] = s;
-          if (s > 0) sample.add_edge(g.edge(e).u, g.edge(e).v, s);
-        }
-        if (!is_connected(sample)) {
-          UMC_ASSERT_MSG(p < 1.0, "sampling at p = 1 keeps the graph connected");
-          continue;  // resample denser (whp never needed at the theorem's C)
-        }
-        iterations = cap(2 * baseline::stoer_wagner(sample).value * logm);
-        break;
-      }
-    }
-    if (hook) hook(SolvePhase::kPackingSetup, 0);
-    ckpt.setup_done = true;
-    ckpt.lambda_seed = out.lambda_seed;
-    ckpt.sampled = out.sampled;
-    ckpt.multiplicity = std::move(multiplicity);
-    ckpt.rng_after_setup = rng.state();
-    ckpt.setup_charges = setup;
-    ckpt.iterations = iterations;
-  } else {
-    // Resume: the setup is journaled; skip straight past its randomness.
-    rng.set_state(ckpt.rng_after_setup);
-  }
-  out.lambda_seed = ckpt.lambda_seed;
-  out.sampled = ckpt.sampled;
-  pack_ledger.charge_sequential(ckpt.setup_charges);
-
-  // Rebuild the packing substrate: the sample graph for case B (with the
-  // sample-id -> original-id map), g itself for case A.
-  WeightedGraph sample_storage(0);
-  const WeightedGraph* pack_g = &g;
-  std::vector<EdgeId> present;           // pack edge id -> original edge id
-  std::vector<EdgeId> original_to_pack;  // inverse (case B only)
-  std::vector<Weight> multiplicity(static_cast<std::size_t>(g.m()));
-  if (ckpt.sampled) {
-    sample_storage = WeightedGraph(g.n());
-    original_to_pack.assign(static_cast<std::size_t>(g.m()), kNoEdge);
-    std::vector<Weight> pack_mult;
-    for (EdgeId e = 0; e < g.m(); ++e) {
-      const Weight s = ckpt.multiplicity[static_cast<std::size_t>(e)];
-      if (s == 0) continue;
-      original_to_pack[static_cast<std::size_t>(e)] = static_cast<EdgeId>(present.size());
-      present.push_back(e);
-      pack_mult.push_back(s);
-      sample_storage.add_edge(g.edge(e).u, g.edge(e).v, s);
-    }
-    pack_g = &sample_storage;
-    multiplicity = std::move(pack_mult);
-  } else {
-    for (EdgeId e = 0; e < g.m(); ++e) multiplicity[static_cast<std::size_t>(e)] = g.edge(e).w;
-  }
-  const auto to_pack_id = [&](EdgeId original) {
-    return ckpt.sampled ? original_to_pack[static_cast<std::size_t>(original)] : original;
-  };
-  const auto to_original_id = [&](EdgeId pack) {
-    return ckpt.sampled ? present[static_cast<std::size_t>(pack)] : pack;
-  };
-
-  // Replay the committed prefix (loads rebuilt from the journaled trees),
-  // then continue live from the first uncommitted iteration.
-  const auto pack_m = static_cast<std::size_t>(pack_g->m());
-  std::vector<std::int64_t> load(pack_m, 0);
-  const int committed = ckpt.committed_iterations();
-  for (int it = 0; it < committed; ++it) {
-    pack_ledger.charge_sequential(ckpt.iteration_charges[static_cast<std::size_t>(it)]);
-    for (const EdgeId e : ckpt.trees[static_cast<std::size_t>(it)])
-      ++load[static_cast<std::size_t>(to_pack_id(e))];
-    sink(std::vector<EdgeId>(ckpt.trees[static_cast<std::size_t>(it)]));
-  }
-
-  std::vector<std::int64_t> cost(pack_m, 0);
-  for (std::size_t i = 0; i < pack_m; ++i) cost[i] = (load[i] << 20) / multiplicity[i];
-#if !defined(UMC_OBS_DISABLED)
-  if (config.use_fast_path && committed < ckpt.iterations)
-    packing_metrics().resort_edges.inc(static_cast<std::int64_t>(pack_m));
-#endif
-  ScratchLease<BoruvkaPacker> packer;
-  packer->set_min_chunk_edges(static_cast<std::size_t>(std::max(config.chunk_min_edges, 1)));
-  for (int it = committed; it < ckpt.iterations; ++it) {
-    UMC_OBS_SPAN_VAR_L(obs_iter, "mincut/packing_iter", "mincut", it);
-    obs_iter.arg("pool_thread", ThreadPool::current_index());
-    minoragg::Ledger iter_ledger;
-    std::vector<EdgeId> tree;
-    if (config.use_fast_path) {
-      const BoruvkaPacker::Result r = packer->run(*pack_g, cost);
-      iter_ledger.charge(r.phases + 1);
-      iter_ledger.bump("boruvka_iterations", r.phases);
-      tree.assign(r.tree.begin(), r.tree.end());
-      for (const EdgeId e : tree) {
-        const auto i = static_cast<std::size_t>(e);
-        ++load[i];
-        cost[i] = (load[i] << 20) / multiplicity[i];
-      }
-#if !defined(UMC_OBS_DISABLED)
-      packing_metrics().resort_edges.inc(static_cast<std::int64_t>(tree.size()));
-#endif
-    } else {
-      for (std::size_t i = 0; i < pack_m; ++i) cost[i] = (load[i] << 20) / multiplicity[i];
-#if !defined(UMC_OBS_DISABLED)
-      packing_metrics().resort_edges.inc(static_cast<std::int64_t>(pack_m));
-#endif
-      tree = minoragg::boruvka_mst(*pack_g, cost, iter_ledger);
-      for (const EdgeId e : tree) ++load[static_cast<std::size_t>(e)];
-    }
-    iter_ledger.bump("packing_iterations");
-    for (EdgeId& e : tree) e = to_original_id(e);
-    if (hook) hook(SolvePhase::kPackingIteration, it);
-    ckpt.trees.push_back(tree);
-    ckpt.iteration_charges.push_back(iter_ledger);
-    pack_ledger.charge_sequential(iter_ledger);
-    sink(std::move(tree));
-  }
-  return out;
-}
-
-}  // namespace
-
-TreePacking tree_packing(const WeightedGraph& g, Rng& rng, minoragg::Ledger& ledger,
-                         const PackingConfig& config) {
-  TreePacking out;
-  TreePacking meta = tree_packing(g, rng, ledger, config,
-                                  [&out](std::vector<EdgeId> tree) {
-                                    out.trees.push_back(std::move(tree));
-                                  });
-  out.lambda_seed = meta.lambda_seed;
-  out.sampled = meta.sampled;
-  return out;
-}
-
-TreePacking tree_packing(const WeightedGraph& g, Rng& rng, minoragg::Ledger& ledger,
-                         const PackingConfig& config, const TreeSink& sink) {
+/// The producer. Journals each committed unit — the setup, then each greedy
+/// iteration — into `ckpt`, firing `hook` just before the commit, and
+/// charges each unit into its own ledger so a replayed prefix absorbs
+/// exactly what the live run charged. When `ckpt` already holds work for
+/// this (graph, config, entry rng state) — asserted — the committed prefix
+/// is replayed through the sink and packing continues live from the first
+/// uncommitted iteration; bit-equality with an uninterrupted run holds
+/// because the setup and the greedy loop are deterministic given that
+/// triple and charge_sequential is associative over the unit split. The
+/// PackingCache is consulted only when `ckpt` is empty and populated on
+/// completion. The front doors differ only in the journal they pass (their
+/// caller's, or a throwaway one) and the span they open.
+TreePacking pack(const WeightedGraph& g, Rng& rng, minoragg::Ledger& ledger,
+                 const PackingConfig& config, const TreeSink& sink, PackingCheckpoint& ckpt,
+                 const CrashHook& hook, [[maybe_unused]] const char* span) {
   UMC_ASSERT(g.n() >= 2);
-  UMC_OBS_SPAN_VAR_L(obs_pack, "mincut/tree_packing", "mincut", ledger.rounds());
-  obs_pack.arg("n", g.n());
-
-  PackingKey key;
-  if (config.use_cache) {
-    key.graph_fp = graph_fingerprint(g);
-    key.config_fp = config_fingerprint(config);
-    key.rng_state = rng.state();
-    if (const std::shared_ptr<const PackingEntry> hit = cache_for(config).lookup(key)) {
-      // Replay: same trees in the same order, same charges, same generator
-      // exit state — indistinguishable from a recompute, at output cost.
-#if !defined(UMC_OBS_DISABLED)
-      packing_metrics().cache_hits.inc();
-#endif
-      obs_pack.arg("cache_hit", 1);
-      for (const std::vector<EdgeId>& tree : hit->trees) sink(std::vector<EdgeId>(tree));
-      ledger.charge_sequential(hit->charges);
-      rng.set_state(hit->rng_after);
-      TreePacking out;
-      out.lambda_seed = hit->lambda_seed;
-      out.sampled = hit->sampled;
-      return out;
-    }
-  }
-#if !defined(UMC_OBS_DISABLED)
-  packing_metrics().cache_misses.inc();
-#endif
-
-  minoragg::Ledger pack_ledger;
-  TreePacking out;
-  if (config.use_cache) {
-    auto entry = std::make_shared<PackingEntry>();
-    out = pack_uncached(g, rng, pack_ledger, config,
-                        [&entry, &sink](std::vector<EdgeId> tree) {
-                          entry->trees.push_back(tree);
-                          sink(std::move(tree));
-                        });
-    entry->lambda_seed = out.lambda_seed;
-    entry->sampled = out.sampled;
-    entry->charges = pack_ledger;
-    entry->rng_after = rng.state();
-    cache_for(config).insert(key, std::move(entry));
-  } else {
-    out = pack_uncached(g, rng, pack_ledger, config, sink);
-  }
-  ledger.charge_sequential(pack_ledger);
-  return out;
-}
-
-TreePacking tree_packing_resumable(const WeightedGraph& g, Rng& rng, minoragg::Ledger& ledger,
-                                   const PackingConfig& config, const TreeSink& sink,
-                                   PackingCheckpoint& ckpt, const CrashHook& hook) {
-  UMC_ASSERT(g.n() >= 2);
-  UMC_OBS_SPAN_VAR_L(obs_pack, "mincut/tree_packing_resumable", "mincut", ledger.rounds());
+  UMC_OBS_SPAN_VAR_L(obs_pack, span, "mincut", ledger.rounds());
   obs_pack.arg("n", g.n());
   obs_pack.arg("committed", ckpt.committed_iterations());
 
   PackingKey key;
   key.graph_fp = graph_fingerprint(g);
-  key.config_fp = config_fingerprint(config);
+  key.config_fp = packing_config_fingerprint(config);
   key.rng_state = rng.state();
   if (ckpt.empty()) {
     ckpt.graph_fp = key.graph_fp;
@@ -469,7 +171,9 @@ TreePacking tree_packing_resumable(const WeightedGraph& g, Rng& rng, minoragg::L
     ckpt.rng_entry = key.rng_state;
     if (config.use_cache) {
       if (const std::shared_ptr<const PackingEntry> hit = cache_for(config).lookup(key)) {
-        // Full replay from the cache — strictly better than any journal.
+        // Replay: same trees in the same order, same charges, same generator
+        // exit state — indistinguishable from a recompute, at output cost,
+        // and strictly better than any journal.
 #if !defined(UMC_OBS_DISABLED)
         packing_metrics().cache_hits.inc();
 #endif
@@ -495,8 +199,112 @@ TreePacking tree_packing_resumable(const WeightedGraph& g, Rng& rng, minoragg::L
                    "PackingCheckpoint resumed against a different (graph, config, seed)");
   }
 
+  const std::int64_t logn = ceil_log2(static_cast<std::uint64_t>(g.n()) + 1) + 1;
+  const std::int64_t logm = ceil_log2(static_cast<std::uint64_t>(g.m()) + 2) + 1;
+  const auto cap = [&config](std::int64_t iters) {
+    iters = std::max<std::int64_t>(iters, 1);
+    if (config.max_trees > 0) iters = std::min<std::int64_t>(iters, config.max_trees);
+    return static_cast<int>(iters);
+  };
+
+  if (!ckpt.setup_done) {
+    minoragg::Ledger setup;
+    // Seed lambda (substitution for the [17] approx black box; see header).
+    const Weight lambda_seed = baseline::stoer_wagner(g).value;
+    setup.charge(logn * logn);  // the approx-min-cut's polylog round budget
+    std::vector<Weight> multiplicity;
+    bool sampled = false;
+    int iterations = 0;
+    if (static_cast<double>(lambda_seed) <= config.direct_threshold_c * static_cast<double>(logn)) {
+      // Case (A): lambda = O(log n) — direct greedy packing on the full
+      // multiplicities; nothing worth journaling beyond the iteration
+      // target (rng untouched).
+      iterations = cap(2 * lambda_seed * logm);
+    } else {
+      // Case (B): Karger-sample with p = C log n / lambda (the only
+      // randomness of the whole solve), then pack the sample.
+      sampled = true;
+      const double base_p =
+          config.sample_c * static_cast<double>(logn) / static_cast<double>(lambda_seed);
+      for (double p = base_p;; p = std::min(1.0, 2 * p)) {
+        multiplicity.assign(static_cast<std::size_t>(g.m()), 0);
+        WeightedGraph sample(g.n());
+        for (EdgeId e = 0; e < g.m(); ++e) {
+          const Weight s = binomial_sample(g.edge(e).w, p, rng);
+          multiplicity[static_cast<std::size_t>(e)] = s;
+          if (s > 0) sample.add_edge(g.edge(e).u, g.edge(e).v, s);
+        }
+        if (!is_connected(sample)) {
+          UMC_ASSERT_MSG(p < 1.0, "sampling at p = 1 keeps the graph connected");
+          continue;  // resample denser (whp never needed at the theorem's C)
+        }
+        // The sampled min-cut value = Theta(C log n) whp; seed the
+        // iteration count from it exactly (same substitution as above).
+        iterations = cap(2 * baseline::stoer_wagner(sample).value * logm);
+        break;
+      }
+    }
+    if (hook) hook(SolvePhase::kPackingSetup, 0);
+    ckpt.setup_done = true;
+    ckpt.lambda_seed = lambda_seed;
+    ckpt.sampled = sampled;
+    ckpt.multiplicity = std::move(multiplicity);
+    ckpt.rng_after_setup = rng.state();
+    ckpt.setup_charges = setup;
+    ckpt.iterations = iterations;
+  } else {
+    // Resume: the setup is journaled; skip straight past its randomness.
+    rng.set_state(ckpt.rng_after_setup);
+  }
   minoragg::Ledger pack_ledger;
-  const TreePacking out = pack_resumable(g, rng, pack_ledger, config, sink, ckpt, hook);
+  pack_ledger.charge_sequential(ckpt.setup_charges);
+
+  // The packing substrate: g itself for case A; for case B the sample — the
+  // original topology restricted to sampled edges, weighted by their
+  // multiplicities — with its edge-id maps in both directions.
+  WeightedGraph sample(ckpt.sampled ? g.n() : 0);
+  std::vector<EdgeId> present;           // pack edge id -> original edge id
+  std::vector<EdgeId> original_to_pack;  // inverse
+  if (ckpt.sampled) {
+    original_to_pack.assign(static_cast<std::size_t>(g.m()), kNoEdge);
+    for (EdgeId e = 0; e < g.m(); ++e) {
+      const Weight s = ckpt.multiplicity[static_cast<std::size_t>(e)];
+      if (s == 0) continue;
+      const EdgeId pack_id = sample.add_edge(g.edge(e).u, g.edge(e).v, s);
+      original_to_pack[static_cast<std::size_t>(e)] = pack_id;
+      present.push_back(e);
+    }
+  }
+  GreedyPackingStep step(ckpt.sampled ? sample : g, config);
+
+  // Replay the committed prefix (loads rebuilt from the journaled trees),
+  // then continue live from the first uncommitted iteration.
+  const int committed = ckpt.committed_iterations();
+  for (int it = 0; it < committed; ++it) {
+    const std::vector<EdgeId>& tree = ckpt.trees[static_cast<std::size_t>(it)];
+    pack_ledger.charge_sequential(ckpt.iteration_charges[static_cast<std::size_t>(it)]);
+    for (const EdgeId e : tree)
+      step.add_load(ckpt.sampled ? original_to_pack[static_cast<std::size_t>(e)] : e);
+    sink(std::vector<EdgeId>(tree));
+  }
+  for (int it = committed; it < ckpt.iterations; ++it) {
+    UMC_OBS_SPAN_VAR_L(obs_iter, "mincut/packing_iter", "mincut", it);
+    obs_iter.arg("pool_thread", ThreadPool::current_index());
+    minoragg::Ledger iter_ledger;
+    std::vector<EdgeId> tree = step.next(iter_ledger);
+    iter_ledger.bump("packing_iterations");
+    if (ckpt.sampled)
+      for (EdgeId& e : tree) e = present[static_cast<std::size_t>(e)];
+    if (hook) hook(SolvePhase::kPackingIteration, it);
+    ckpt.trees.push_back(tree);
+    ckpt.iteration_charges.push_back(iter_ledger);
+    pack_ledger.charge_sequential(iter_ledger);
+    sink(std::move(tree));
+  }
+
+  TreePacking out;
+  out.lambda_seed = ckpt.lambda_seed;
+  out.sampled = ckpt.sampled;
   if (config.use_cache) {
     auto entry = std::make_shared<PackingEntry>();
     entry->trees = ckpt.trees;
@@ -508,6 +316,33 @@ TreePacking tree_packing_resumable(const WeightedGraph& g, Rng& rng, minoragg::L
   }
   ledger.charge_sequential(pack_ledger);
   return out;
+}
+
+}  // namespace
+
+TreePacking tree_packing(const WeightedGraph& g, Rng& rng, minoragg::Ledger& ledger,
+                         const PackingConfig& config) {
+  TreePacking out;
+  PackingCheckpoint journal;
+  const TreePacking meta = pack(
+      g, rng, ledger, config,
+      [&out](std::vector<EdgeId> tree) { out.trees.push_back(std::move(tree)); }, journal,
+      nullptr, "mincut/tree_packing");
+  out.lambda_seed = meta.lambda_seed;
+  out.sampled = meta.sampled;
+  return out;
+}
+
+TreePacking tree_packing(const WeightedGraph& g, Rng& rng, minoragg::Ledger& ledger,
+                         const PackingConfig& config, const TreeSink& sink) {
+  PackingCheckpoint journal;
+  return pack(g, rng, ledger, config, sink, journal, nullptr, "mincut/tree_packing");
+}
+
+TreePacking tree_packing_resumable(const WeightedGraph& g, Rng& rng, minoragg::Ledger& ledger,
+                                   const PackingConfig& config, const TreeSink& sink,
+                                   PackingCheckpoint& ckpt, const CrashHook& hook) {
+  return pack(g, rng, ledger, config, sink, ckpt, hook, "mincut/tree_packing_resumable");
 }
 
 }  // namespace umc::mincut

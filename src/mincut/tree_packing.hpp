@@ -20,7 +20,9 @@
 #include "graph/graph.hpp"
 #include "mincut/solve_checkpoint.hpp"
 #include "minoragg/ledger.hpp"
+#include "tree/spanning.hpp"
 #include "util/rng.hpp"
+#include "util/scratch.hpp"
 
 namespace umc::mincut {
 
@@ -34,20 +36,20 @@ struct PackingConfig {
   /// Hard cap on the number of trees (0 = the theorem's I); useful for
   /// quick experiments that trade the whp guarantee for speed.
   int max_trees = 0;
-  /// Fast path: per-iteration MSTs via the reusable chunk-parallel
-  /// BoruvkaPacker with incremental load re-costing, instead of driving a
-  /// full Minor-Aggregation simulation per Borůvka phase. Trees, iteration
-  /// counts, rng consumption, and every ledger charge are bit-identical to
-  /// the simulated reference (the replayed charges are computed from the
-  /// identical phase structure); only wall time changes. OFF pins the
-  /// original producer for differential tests and the seed-vs-fastpath
-  /// bench.
+  /// Fast path: each GreedyPackingStep picks its tree with the reusable
+  /// chunk-parallel BoruvkaPacker and re-costs only the edges whose load
+  /// changed, instead of driving a full Minor-Aggregation simulation per
+  /// Borůvka phase. Trees, iteration counts, rng consumption, and every
+  /// ledger charge are bit-identical to the simulated reference (the
+  /// replayed charges are computed from the identical phase structure);
+  /// only wall time changes. OFF selects the reference step — the named
+  /// test oracle of differential tests and the seed-vs-fastpath bench.
   bool use_fast_path = true;
-  /// Consult/populate the global PackingCache, keyed by (graph fingerprint,
-  /// rng state, config): a hit replays the recorded trees, charges, and rng
-  /// fast-forward instead of recomputing — how exact_mincut_guarded's
-  /// deterministic re-run self-check avoids paying for the packing twice,
-  /// and how warm-started sessions will reuse packings.
+  /// Consult/populate the PackingCache, keyed by (graph fingerprint, rng
+  /// state, config): a hit replays the recorded trees, charges, and rng
+  /// fast-forward instead of recomputing. Its consumers: the same-seed
+  /// packing replay of verify_mincut_result (a hit on the primary solve's
+  /// key), and the stream's delta-aware keyspace (src/stream).
   bool use_cache = true;
   /// Minimum live edges per Borůvka fold chunk on the fast path. Pure
   /// wall-time granularity: chunking cannot change any output (per-component
@@ -99,7 +101,8 @@ using TreeSink = std::function<void(std::vector<EdgeId>)>;
                                        minoragg::Ledger& ledger, const PackingConfig& config,
                                        const TreeSink& sink);
 
-/// Checkpoint-resumable producer. Journals every committed unit (setup,
+/// Checkpoint-resumable producer — the same producer as tree_packing, with
+/// the caller's journal. Journals every committed unit (setup,
 /// then each greedy iteration) into `ckpt`; when `ckpt` already holds work
 /// for this exact (graph, config, entry rng state) — asserted — the
 /// committed prefix is REPLAYED through the sink and packing continues live
@@ -117,5 +120,37 @@ using TreeSink = std::function<void(std::vector<EdgeId>)>;
                                                  const PackingConfig& config,
                                                  const TreeSink& sink, PackingCheckpoint& ckpt,
                                                  const CrashHook& hook = nullptr);
+
+/// One greedy Thorup packing step over `g`, shared by the producer and the
+/// stream's tree repair. Holds per-edge packing loads and their fixed-point
+/// costs load / multiplicity, where an edge's multiplicity is its weight in
+/// `g` (the producer packs a Karger sample as a graph whose weights are the
+/// sampled multiplicities). Each next() selects the (cost, edge id)-minimal
+/// spanning tree — through the BoruvkaPacker when `config.use_fast_path`,
+/// through the Minor-Aggregation reference `minoragg::boruvka_mst`
+/// otherwise — and loads its edges. Both modes charge one Definition 9
+/// round per Borůvka phase plus one termination-check round, and bump
+/// `boruvka_iterations` once per phase; callers add their own counter.
+class GreedyPackingStep {
+ public:
+  GreedyPackingStep(const WeightedGraph& g, const PackingConfig& config);
+
+  /// Adds one unit of load to edge `e` of `g`: seeds the loads of trees
+  /// already packed. Only before the first next().
+  void add_load(EdgeId e);
+
+  /// Packs the next tree; returns its edge ids of `g`.
+  [[nodiscard]] std::vector<EdgeId> next(minoragg::Ledger& ledger);
+
+ private:
+  void recost(std::size_t e);
+
+  const WeightedGraph& g_;
+  bool fast_;
+  bool costed_ = false;  // the fast path re-costs all m once, at its first step
+  ScratchLease<BoruvkaPacker> packer_;
+  ScratchLease<std::vector<std::int64_t>> load_;
+  ScratchLease<std::vector<std::int64_t>> cost_;
+};
 
 }  // namespace umc::mincut

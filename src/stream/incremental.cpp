@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
-#include <span>
 #include <utility>
 
 #include "fault/supervisor.hpp"
@@ -12,9 +11,7 @@
 #include "mincut/witness.hpp"
 #include "obs/metrics.hpp"
 #include "tree/rooted_tree.hpp"
-#include "tree/spanning.hpp"
 #include "util/math.hpp"
-#include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace umc::stream {
@@ -596,50 +593,28 @@ IncrementalMinCut::WarmOutcome IncrementalMinCut::warm_solve(StreamSolveReport& 
   return {true, {}};
 }
 
-// Re-runs ONLY the broken trees' Boruvka iterations, under packing loads
-// rebuilt from the surviving trees — the repaired tree slots into the same
-// greedy min-load role the broken one held. Multiplicity is the current
-// edge weight (the direct-packing cost rule); repairs carry no parity
-// contract with the original pack, only determinism.
+// Re-runs ONLY the broken trees' greedy packing steps — the producer's own
+// step (mincut::GreedyPackingStep, fast or reference per cfg_.packing) —
+// under packing loads seeded from the surviving trees, so the repaired tree
+// slots into the same greedy min-load role the broken one held.
+// Multiplicity is the current edge weight (the direct-packing cost rule);
+// repairs carry no parity contract with the original pack, only
+// determinism.
 void IncrementalMinCut::repair_broken_trees(StreamSolveReport& rep, minoragg::Ledger& ledger) {
   std::vector<std::size_t> broken;
   for (std::size_t i = 0; i < trees_.size(); ++i)
     if (tree_broken_[i] != 0) broken.push_back(i);
   if (broken.empty()) return;
 
-  const WeightedGraph& g = sg_.current();
-  const auto m = static_cast<std::size_t>(g.m());
-  const std::span<const Edge> edges = g.edges();
-  ScratchLease<std::vector<std::int64_t>> load_lease;
-  std::vector<std::int64_t>& load = *load_lease;
-  load.assign(m, 0);
+  mincut::GreedyPackingStep step(sg_.current(), cfg_.packing);
   for (std::size_t i = 0; i < trees_.size(); ++i) {
     if (tree_broken_[i] != 0) continue;
-    for (const EdgeId slot : trees_[i])
-      ++load[static_cast<std::size_t>(sg_.current_of_slot(slot))];
+    for (const EdgeId slot : trees_[i]) step.add_load(sg_.current_of_slot(slot));
   }
-  ScratchLease<std::vector<std::int64_t>> cost_lease;
-  std::vector<std::int64_t>& cost = *cost_lease;
-  cost.assign(m, 0);
-  for (std::size_t e = 0; e < m; ++e) cost[e] = (load[e] << 20) / edges[e].w;
-
-  ScratchLease<BoruvkaPacker> packer;
-  packer->set_min_chunk_edges(static_cast<std::size_t>(std::max(cfg_.packing.chunk_min_edges, 1)));
   for (const std::size_t i : broken) {
-    const BoruvkaPacker::Result r = packer->run(g, cost);
-    // Same charge shape as a packing iteration: one Definition 9 round per
-    // Boruvka phase plus the termination check.
-    ledger.charge(r.phases + 1);
-    ledger.bump("boruvka_iterations", r.phases);
+    std::vector<EdgeId> slots = step.next(ledger);
     ledger.bump("stream_trees_repaired");
-    std::vector<EdgeId> slots;
-    slots.reserve(r.tree.size());
-    for (const EdgeId e : r.tree) {
-      slots.push_back(sg_.slot_of_current(e));
-      const auto idx = static_cast<std::size_t>(e);
-      ++load[idx];
-      cost[idx] = (load[idx] << 20) / edges[idx].w;
-    }
+    for (EdgeId& e : slots) e = sg_.slot_of_current(e);
     trees_[i] = std::move(slots);
     tree_broken_[i] = 0;
     tree_value_[i] = mincut::kInfWeight;  // must re-evaluate before serving

@@ -16,9 +16,9 @@
 //                     fast-forward; one 2-respecting re-solve of the winner
 //                     re-derives its witness for certification.
 //   kWarmIncremental  the resident packing is repaired in place — only the
-//                     Borůvka iterations whose selected edges were deleted
-//                     re-run (BoruvkaPacker + ScratchLease arenas, loads
-//                     rebuilt from the surviving trees) — then per-tree
+//                     greedy packing steps whose trees lost an edge to a
+//                     deletion re-run (the producer's GreedyPackingStep,
+//                     loads seeded from the surviving trees) — then per-tree
 //                     2-respecting minima are refreshed with BRANCH AND
 //                     BOUND against TRACKED ARGMIN CUTS: every solved tree
 //                     remembers its argmin bipartition, whose exact current

@@ -34,11 +34,12 @@ namespace umc {
 /// Reusable deterministic Borůvka MST under external integer costs, with
 /// ties broken by (cost, edge id) — the same strict total order the
 /// Minor-Aggregation `minoragg::boruvka_mst` folds through MinPairAgg, so
-/// both producers select the bit-identical unique MST. Built for the greedy
-/// tree-packing loop, which runs ~2·λ·log m MSTs back to back over slowly
-/// drifting costs: every internal buffer (DSU parents, component labels,
-/// live-edge worklist, per-chunk candidate slots) persists across run()
-/// calls, so steady-state iterations allocate nothing.
+/// both modes of the packing step select the bit-identical unique MST.
+/// Built for the greedy tree-packing loop, which runs ~2·λ·log m MSTs back
+/// to back over slowly drifting costs: every internal buffer (DSU parents,
+/// component labels, live-edge worklist, per-chunk candidate slots)
+/// persists across run() calls, so steady-state iterations allocate
+/// nothing.
 ///
 /// Parallelism: the per-phase minimum-outgoing-edge selection is split into
 /// contiguous edge chunks whose candidate folds run as TaskGroup tasks when

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <mutex>
 #include <set>
 #include <string>
 #include <utility>
@@ -76,7 +77,9 @@ struct Recovered {
 /// a crashed attempt's partial charges are discarded, like a dead process's.
 void solve_with_crashes(const WeightedGraph& g, std::uint64_t seed, const PackingConfig& config,
                         int threads, std::set<Site> crashes, Recovered& r) {
+  std::mutex mu;  // tree-solve hooks fire concurrently from solve tasks
   const CrashHook hook = [&](SolvePhase phase, std::int64_t index) {
+    const std::lock_guard<std::mutex> lock(mu);
     const auto it = crashes.find({phase, index});
     if (it == crashes.end()) return;
     crashes.erase(it);  // at most once per plan
@@ -139,29 +142,36 @@ TEST(SolveCheckpoint, ResumableHitsPackingCacheWhenCheckpointEmpty) {
 TEST(SolveCheckpoint, CrashAtEveryCommitPointResumesBitIdentical) {
   PackingCache::global().clear();
   const WeightedGraph g = test_graph(107, 20, 0.3);
-  PackingConfig config;
-  config.use_cache = false;  // force the live resume path on every attempt
-  const Baseline want = uninterrupted(g, 11, config, 2);
+  // Both modes of the packing step: the fast path and the MA reference.
+  for (const bool fast : {true, false}) {
+    SCOPED_TRACE(fast ? "fast path" : "reference");
+    PackingConfig config;
+    config.use_cache = false;  // force the live resume path on every attempt
+    config.use_fast_path = fast;
+    const Baseline want = uninterrupted(g, 11, config, 2);
 
-  // Enumerate the commit sites one crash-free run fires.
-  std::vector<Site> sites;
-  {
-    SolveCheckpoint probe;
-    Rng rng(11);
-    minoragg::Ledger ledger;
-    (void)resumable_solve(g, rng, ledger, config, 2, probe,
-                          [&](SolvePhase phase, std::int64_t index) {
-                            sites.emplace_back(phase, index);
-                          });
-  }
-  ASSERT_GE(sites.size(), 3u);
+    // Enumerate the commit sites one crash-free run fires.
+    std::vector<Site> sites;
+    {
+      SolveCheckpoint probe;
+      Rng rng(11);
+      minoragg::Ledger ledger;
+      std::mutex mu;  // tree-solve hooks fire concurrently from solve tasks
+      (void)resumable_solve(g, rng, ledger, config, 2, probe,
+                            [&](SolvePhase phase, std::int64_t index) {
+                              const std::lock_guard<std::mutex> lock(mu);
+                              sites.emplace_back(phase, index);
+                            });
+    }
+    ASSERT_GE(sites.size(), 3u);
 
-  for (const Site& site : sites) {
-    SCOPED_TRACE(std::string(to_string(site.first)) + " #" + std::to_string(site.second));
-    Recovered r;
-    solve_with_crashes(g, 11, config, 2, {site}, r);
-    EXPECT_EQ(r.attempts, 2);  // one crash, one clean resume
-    expect_same(want, r.result, r.ledger, r.rng, "crash site");
+    for (const Site& site : sites) {
+      SCOPED_TRACE(std::string(to_string(site.first)) + " #" + std::to_string(site.second));
+      Recovered r;
+      solve_with_crashes(g, 11, config, 2, {site}, r);
+      EXPECT_EQ(r.attempts, 2);  // one crash, one clean resume
+      expect_same(want, r.result, r.ledger, r.rng, "crash site");
+    }
   }
 }
 
@@ -245,44 +255,51 @@ TEST(SolveCheckpoint, MultiCrashProtocolAcrossAllPhasesConverges) {
 TEST(SolveCheckpoint, SampledRouteCrashResumesBitIdentical) {
   PackingCache::global().clear();
   const WeightedGraph g = test_graph(127, 26, 0.5);
-  PackingConfig config;
-  config.use_cache = false;
-  config.direct_threshold_c = 0.0;  // force the Karger-sampling route (case B)
-  const Baseline want = uninterrupted(g, 19, config, 2);
+  // Both modes of the packing step: the fast path and the MA reference.
+  for (const bool fast : {true, false}) {
+    SCOPED_TRACE(fast ? "fast path" : "reference");
+    PackingConfig config;
+    config.use_cache = false;
+    config.use_fast_path = fast;
+    config.direct_threshold_c = 0.0;  // force the Karger-sampling route (case B)
+    const Baseline want = uninterrupted(g, 19, config, 2);
 
-  // Crash after setup committed (so the sample + rng snapshot must carry the
-  // resume) and again mid-iterations.
-  SolveCheckpoint ckpt;
-  std::set<Site> crashes{{SolvePhase::kPackingIteration, 0},
-                         {SolvePhase::kPackingIteration, 2}};
-  ExactMinCutResult got;
-  Rng rng(19);
-  minoragg::Ledger ledger;
-  int attempts = 0;
-  for (;;) {
-    ++attempts;
-    ASSERT_LE(attempts, 8);
-    rng = Rng(19);
-    ledger = minoragg::Ledger();
-    try {
-      got = resumable_solve(g, rng, ledger, config, 2, ckpt,
-                            [&](SolvePhase phase, std::int64_t index) {
-                              const auto it = crashes.find({phase, index});
-                              if (it == crashes.end()) return;
-                              crashes.erase(it);
-                              throw crash_error(phase, index);
-                            });
-      break;
-    } catch (const crash_error&) {
-      EXPECT_TRUE(ckpt.packing.sampled);
-      continue;
+    // Crash after setup committed (so the sample + rng snapshot must carry
+    // the resume) and again mid-iterations.
+    SolveCheckpoint ckpt;
+    std::set<Site> crashes{{SolvePhase::kPackingIteration, 0},
+                           {SolvePhase::kPackingIteration, 2}};
+    std::mutex mu;  // tree-solve hooks fire concurrently from solve tasks
+    ExactMinCutResult got;
+    Rng rng(19);
+    minoragg::Ledger ledger;
+    int attempts = 0;
+    for (;;) {
+      ++attempts;
+      ASSERT_LE(attempts, 8);
+      rng = Rng(19);
+      ledger = minoragg::Ledger();
+      try {
+        got = resumable_solve(g, rng, ledger, config, 2, ckpt,
+                              [&](SolvePhase phase, std::int64_t index) {
+                                const std::lock_guard<std::mutex> lock(mu);
+                                const auto it = crashes.find({phase, index});
+                                if (it == crashes.end()) return;
+                                crashes.erase(it);
+                                throw crash_error(phase, index);
+                              });
+        break;
+      } catch (const crash_error&) {
+        EXPECT_TRUE(ckpt.packing.sampled);
+        continue;
+      }
     }
+    EXPECT_EQ(attempts, 3);
+    EXPECT_TRUE(ckpt.packing.sampled);
+    EXPECT_FALSE(ckpt.packing.multiplicity.empty());
+    expect_same(want, got, ledger, rng, "sampled-route resume");
+    EXPECT_EQ(got.value, baseline::stoer_wagner(g).value);
   }
-  EXPECT_EQ(attempts, 3);
-  EXPECT_TRUE(ckpt.packing.sampled);
-  EXPECT_FALSE(ckpt.packing.multiplicity.empty());
-  expect_same(want, got, ledger, rng, "sampled-route resume");
-  EXPECT_EQ(got.value, baseline::stoer_wagner(g).value);
 }
 
 TEST(SolveCheckpoint, ResumingAgainstDifferentSolveIsRejected) {

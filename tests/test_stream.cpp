@@ -430,20 +430,40 @@ TEST(IncrementalMinCut, DeletionsBreakTreesAndRepairKeepsExactness) {
   Rng rng(79);
   WeightedGraph g = complete_graph(12);
   randomize_weights(g, 4, 20, rng);
-  IncrementalMinCut inc(g, stream_config(51, 2));
-  (void)inc.solve();
+  // Two lineages over the same deletion stream, one per mode of the packing
+  // step (fast path and MA reference). Repair runs the producer's step, so
+  // the modes must agree on every report, charges and counters included.
+  StreamConfig fast_cfg = stream_config(51, 2);
+  StreamConfig ref_cfg = fast_cfg;
+  ref_cfg.packing.use_fast_path = false;
+  IncrementalMinCut inc(g, fast_cfg);
+  IncrementalMinCut ref(g, ref_cfg);
+  const auto expect_same_report = [](const StreamSolveReport& a, const StreamSolveReport& b) {
+    EXPECT_EQ(a.value, b.value);
+    EXPECT_EQ(a.tier, b.tier);
+    EXPECT_EQ(a.certified, b.certified);
+    EXPECT_EQ(a.trees_repaired, b.trees_repaired);
+    EXPECT_EQ(a.trees_resolved, b.trees_resolved);
+    EXPECT_EQ(a.ledger.rounds(), b.ledger.rounds());
+    EXPECT_EQ(a.ledger.counters(), b.ledger.counters());
+  };
+  expect_same_report(inc.solve(), ref.solve());
   // Delete original edges (safe on a complete graph) until a packing tree
   // breaks; the next warm solve must repair and stay exact.
   std::int64_t repaired_before = inc.counters().trees_repaired;
   for (EdgeId e = 0; e < 3; ++e) {
+    SCOPED_TRACE("deletion " + std::to_string(e));
     UpdateBatch batch;
     batch.erase(e);
     ASSERT_TRUE(inc.apply(batch).has_value());
+    ASSERT_TRUE(ref.apply(batch).has_value());
     const StreamSolveReport rep = inc.solve();
     EXPECT_TRUE(rep.certified);
     EXPECT_EQ(rep.value, baseline::stoer_wagner(inc.graph()).value);
+    expect_same_report(rep, ref.solve());
   }
-  EXPECT_GE(inc.counters().trees_repaired, repaired_before);
+  EXPECT_GT(inc.counters().trees_repaired, repaired_before);  // repair ran
+  EXPECT_EQ(inc.counters().trees_repaired, ref.counters().trees_repaired);
 }
 
 // ---------------------------------------------------------------------------
