@@ -11,18 +11,23 @@
 //
 // The candidate set is exactly the solver's: cuts crossing one tree edge
 // (subtree(v) for every non-root v) or two tree edges (S_u \ S_v for
-// nested pairs, S_u ∪ S_v for disjoint pairs). All O(n^2) values come from
-// three tree accumulations:
+// nested pairs, S_u ∪ S_v for disjoint pairs). Numbered in preorder, every
+// subtree S_v is the position range [pos(v), pos(v) + size(v)), so one
+// (n+1)×(n+1) 2-D prefix-sum matrix of the adjacency (both directions,
+// parallel edges summed) gives W(S_a, S_b) — the total weight from S_a to
+// S_b, counting edges inside S_a ∩ S_b twice — as a four-term lookup, and
+// every candidate follows (Karger, J.ACM 2000; Dory et al. [2004.09129]):
 //
-//   cut1[v]  = sdeg[v] - 2·in[v]        (subtree weighted-degree sum minus
-//                                        twice the mass lca-internal to it)
-//   disjoint = cut1[u] + cut1[v] - 2·X[u][v]   X = W(S_u, S_v)
-//   nested   = cut1[u] - cut1[v] + 2·N[u][v]   N = W(S_v, S_u \ S_v)
+//   cut1[v]  = W(S_v, V) - W(S_v, S_v)
+//   disjoint = cut1[u] + cut1[v] - 2·W(S_u, S_v)
+//   nested   = cut1[u] - cut1[v] + 2·(W(S_u, S_v) - W(S_v, S_v))
+//              (u a strict ancestor of v)
 //
-// X and N are filled in O(m·depth^2) by walking each edge's two
-// endpoint-to-lca ancestor chains; the scan is O(n^2) with O(1) ancestry
-// tests. Memory is O(n^2) words — sized for resident stream instances, not
-// the distributed regime (the MA solver stays the tool there).
+// The scan walks positions: after a, the positions before end(a) are a's
+// descendants and the rest are disjoint from S_a, so it needs no ancestry
+// test. O(n^2 + m) time and (n+1)^2 words of arena scratch per evaluating
+// thread — sized for resident stream and service instances, not the
+// distributed regime (the MA solver stays the tool there).
 //
 // Besides the minimum, the scan keeps what branch-and-bound needs and the
 // recursive solver cannot cheaply expose: the runner-up value (min over all

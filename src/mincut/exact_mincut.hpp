@@ -53,8 +53,8 @@ struct ExactMinCutResult {
 //               width-invariant round plus a "host_tree_evals" bump per
 //               tree (the packing's charges are unchanged). Used by the
 //               serving paths: the stream's full tier and its rescue, and
-//               mincutd's supervised SOLVE. O(n^2) memory per evaluating
-//               thread.
+//               mincutd's supervised SOLVE. O(n^2 + m) time and (n+1)^2
+//               words of scratch per evaluating thread.
 // Both modes consume the identical packing, so value, winning tree, tree
 // count and the rng exit state agree; only the defining edge pair (e, f)
 // may differ under in-tree value ties.

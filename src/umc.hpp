@@ -7,7 +7,6 @@
 //   umc::minoragg::Ledger ledger;
 //   auto cut = umc::mincut::exact_mincut(g, rng, ledger);
 
-#include "baseline/karger.hpp"
 #include "baseline/karger_stein.hpp"
 #include "baseline/naive_two_respect.hpp"
 #include "baseline/stoer_wagner.hpp"

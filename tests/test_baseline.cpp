@@ -1,12 +1,10 @@
-// Tests for the baseline oracles: Stoer-Wagner, Karger contraction, the
-// naive 2-respecting table, and the reference cut/cover machinery
-// (Facts 5 & 6).
+// Tests for the baseline oracles: Stoer-Wagner, the naive 2-respecting
+// table, and the reference cut/cover machinery (Facts 5 & 6).
 
 #include <gtest/gtest.h>
 
 #include <numeric>
 
-#include "baseline/karger.hpp"
 #include "baseline/naive_two_respect.hpp"
 #include "baseline/stoer_wagner.hpp"
 #include "graph/generators.hpp"
@@ -81,18 +79,6 @@ TEST(StoerWagner, SideIsActualCut) {
     EXPECT_EQ(crossing, cut.value);
     EXPECT_GT(cut.side.size(), 0u);
     EXPECT_LT(cut.side.size(), static_cast<std::size_t>(g.n()));
-  }
-}
-
-TEST(Karger, FindsMinCutWithEnoughTrials) {
-  Rng rng(107);
-  for (int trial = 0; trial < 8; ++trial) {
-    WeightedGraph g = erdos_renyi_connected(12, 0.3, rng);
-    randomize_weights(g, 1, 10, rng);
-    const Weight sw = stoer_wagner(g).value;
-    const Weight kg = karger_min_cut(g, 300, rng);
-    EXPECT_GE(kg, sw);   // Karger can only overestimate
-    EXPECT_EQ(kg, sw);   // ... but 300 trials on n=12 finds the optimum
   }
 }
 

@@ -1,8 +1,10 @@
 // The streaming tier end to end: StreamGraph batch semantics, the cut
-// oracle's equivalence with the MA-simulated 2-respecting solver,
-// IncrementalMinCut's exactness against Stoer–Wagner on every graph family
-// under mutation streams, thread-width determinism of the warm tiers, the
-// delta-aware cache adoption path, and the certificate-invalidation drills.
+// oracle's full output contract (value, tie-broken defining pair,
+// runner-up, side) and its equivalence with the MA-simulated 2-respecting
+// solver, IncrementalMinCut's exactness against Stoer–Wagner on every
+// graph family under mutation streams, thread-width determinism of the
+// warm tiers, the delta-aware cache adoption path, and the
+// certificate-invalidation drills.
 //
 // Run with UMC_THREADS=8 as test_stream_threads8 this is the tsan/asan job
 // for the warm-solve fan-out (oracle evals into deque slots + tree-index
@@ -13,11 +15,13 @@
 #include <string>
 #include <vector>
 
+#include "baseline/naive_two_respect.hpp"
 #include "baseline/stoer_wagner.hpp"
 #include "graph/generators.hpp"
 #include "mincut/cut_oracle.hpp"
 #include "mincut/exact_mincut.hpp"
 #include "mincut/packing_cache.hpp"
+#include "mincut/tree_packing.hpp"
 #include "mincut/two_respect.hpp"
 #include "mincut/witness.hpp"
 #include "minoragg/tree_primitives.hpp"
@@ -169,42 +173,112 @@ TEST(StreamGraph, DisconnectingBatchRejectedAtomically) {
 // ---------------------------------------------------------------------------
 // The cut oracle vs the MA-simulated solver and a naive enumeration.
 
+/// The oracle's full output contract against a reference that enumerates
+/// every candidate with cut_witness in the documented order — singles in
+/// node order, then node pairs in lexicographic order — keeping the first
+/// minimum (strict <). best.e/f, runner_up and side must match exactly: the
+/// stream's tracked argmin cuts depend on this tie-break, not just the value.
+void expect_oracle_contract(const RootedTree& t) {
+  const NodeId n = t.n();
+  const mincut::TwoRespectEval ev = mincut::evaluate_two_respecting(t);
+  mincut::CutResult best;
+  Weight second = mincut::kInfWeight;
+  std::vector<bool> side;
+  const auto consider = [&](EdgeId e, EdgeId f) {
+    mincut::CutWitness w = mincut::cut_witness(t, e, f);
+    if (w.value < best.value) {
+      second = best.value;
+      best = mincut::CutResult{w.value, e, f};
+      side = std::move(w.side);
+    } else if (w.value < second) {
+      second = w.value;
+    }
+  };
+  for (NodeId u = 0; u < n; ++u)
+    if (u != t.root()) consider(t.parent_edge(u), kNoEdge);
+  for (NodeId u = 0; u < n; ++u) {
+    if (u == t.root()) continue;
+    for (NodeId v = u + 1; v < n; ++v)
+      if (v != t.root()) consider(t.parent_edge(u), t.parent_edge(v));
+  }
+  EXPECT_EQ(ev.best.value, best.value) << "n " << n << " root " << t.root();
+  EXPECT_EQ(ev.best.e, best.e) << "n " << n << " root " << t.root();
+  EXPECT_EQ(ev.best.f, best.f) << "n " << n << " root " << t.root();
+  EXPECT_EQ(ev.runner_up, second) << "n " << n << " root " << t.root();
+  EXPECT_EQ(ev.side, side) << "n " << n << " root " << t.root();
+  EXPECT_EQ(ev.best.value, baseline::naive_two_respecting(t).value);
+}
+
 TEST(CutOracle, MatchesNaiveEnumerationIncludingRunnerUp) {
   Rng rng(71);
   WeightedGraph g = erdos_renyi_connected(14, 0.3, rng);
   randomize_weights(g, 1, 9, rng);
   for (int trial = 0; trial < 6; ++trial) {
     const std::vector<EdgeId> tree = wilson_random_spanning_tree(g, rng);
-    const RootedTree t(g, tree, /*root=*/0);
+    expect_oracle_contract(RootedTree(g, tree, /*root=*/0));
+  }
+}
+
+TEST(CutOracle, FullContractOnPackingTreesUnderWeightedAndUnitWeights) {
+  // The E26 shape (ER n=96, average degree 8, a 16-tree packing); unit
+  // weights make most candidate values tie.
+  for (const bool unit : {false, true}) {
+    Rng rng(21);
+    WeightedGraph g = erdos_renyi_connected(96, 8.0 / 95.0, rng);
+    if (!unit) randomize_weights(g, 1, 100, rng);
+    mincut::PackingConfig config;
+    config.max_trees = 16;
+    config.use_cache = false;
+    minoragg::Ledger ledger;
+    const mincut::TreePacking packing = mincut::tree_packing(g, rng, ledger, config);
+    ASSERT_EQ(packing.trees.size(), 16u);
+    for (const std::vector<EdgeId>& tree : packing.trees)
+      for (const NodeId root : {0, 17, 95}) expect_oracle_contract(RootedTree(g, tree, root));
+  }
+}
+
+TEST(CutOracle, FullContractOnPathStarMultigraphAndTwoNodes) {
+  Rng rng(74);
+  // Path tree (depth n-1) under random chords, rooted at an end and inside.
+  WeightedGraph path = path_graph(24);
+  for (NodeId u = 0; u < 24; ++u)
+    for (NodeId v = u + 2; v < 24; v += 5) path.add_edge(u, v, 1 + static_cast<Weight>(rng.next_below(4)));
+  std::vector<EdgeId> path_tree(23);
+  for (EdgeId e = 0; e < 23; ++e) path_tree[static_cast<std::size_t>(e)] = e;
+  for (const NodeId root : {0, 23, 11}) expect_oracle_contract(RootedTree(path, path_tree, root));
+
+  // Star tree (depth 1 from the hub) under leaf-to-leaf edges.
+  WeightedGraph star = star_graph(20);
+  for (NodeId u = 1; u < 20; ++u) star.add_edge(u, 1 + u % 19, 1 + static_cast<Weight>(rng.next_below(3)));
+  std::vector<EdgeId> star_tree(19);
+  for (EdgeId e = 0; e < 19; ++e) star_tree[static_cast<std::size_t>(e)] = e;
+  for (const NodeId root : {0, 7}) expect_oracle_contract(RootedTree(star, star_tree, root));
+
+  // Multigraph: every edge doubled (another weight), some tripled.
+  WeightedGraph multi = erdos_renyi_connected(18, 0.25, rng);
+  randomize_weights(multi, 1, 6, rng);
+  const EdgeId m = multi.m();
+  for (EdgeId e = 0; e < m; ++e) {
+    const Edge ed = multi.edge(e);
+    multi.add_edge(ed.v, ed.u, 1 + static_cast<Weight>(rng.next_below(5)));
+    if (e % 3 == 0) multi.add_edge(ed.u, ed.v, 2);
+  }
+  for (int trial = 0; trial < 4; ++trial) {
+    const std::vector<EdgeId> tree = wilson_random_spanning_tree(multi, rng);
+    expect_oracle_contract(RootedTree(multi, tree, static_cast<NodeId>(trial * 5)));
+  }
+
+  // n = 2: one candidate, so no runner-up.
+  WeightedGraph two(2);
+  const EdgeId e01 = two.add_edge(0, 1, 3);
+  two.add_edge(1, 0, 4);
+  const std::vector<EdgeId> two_tree{e01};
+  for (const NodeId root : {0, 1}) {
+    const RootedTree t(two, two_tree, root);
+    expect_oracle_contract(t);
     const mincut::TwoRespectEval ev = mincut::evaluate_two_respecting(t);
-    // Naive reference: every 1- and 2-respecting candidate via witness sums.
-    Weight best = mincut::kInfWeight;
-    Weight second = mincut::kInfWeight;
-    const auto consider = [&](Weight val) {
-      if (val < best) {
-        second = best;
-        best = val;
-      } else if (val < second) {
-        second = val;
-      }
-    };
-    for (NodeId u = 0; u < g.n(); ++u) {
-      if (u == t.root()) continue;
-      consider(mincut::cut_witness(t, t.parent_edge(u)).value);
-      for (NodeId v = u + 1; v < g.n(); ++v) {
-        if (v == t.root()) continue;
-        consider(mincut::cut_witness(t, t.parent_edge(u), t.parent_edge(v)).value);
-      }
-    }
-    EXPECT_EQ(ev.best.value, best);
-    EXPECT_EQ(ev.runner_up, second);
-    // The reported side bitmap prices to the reported value.
-    Weight crossing = 0;
-    for (const Edge& e : g.edges())
-      if (ev.side[static_cast<std::size_t>(e.u)] != ev.side[static_cast<std::size_t>(e.v)])
-        crossing += e.w;
-    EXPECT_EQ(crossing, ev.best.value);
-    EXPECT_FALSE(ev.side[static_cast<std::size_t>(t.root())]);
+    EXPECT_EQ(ev.best.value, 7);
+    EXPECT_EQ(ev.runner_up, mincut::kInfWeight);
   }
 }
 
