@@ -2,9 +2,9 @@
 
 #include <deque>
 
-#include "baseline/stoer_wagner.hpp"
 #include "congest/bfs_tree.hpp"
 #include "congest/congest_net.hpp"
+#include "graph/properties.hpp"
 #include "util/assert.hpp"
 
 namespace umc::congest {
@@ -41,7 +41,7 @@ GatherBaselineResult gather_exact_mincut(const WeightedGraph& g, NodeId root) {
 
   GatherBaselineResult out;
   out.rounds_used = net.rounds();
-  out.min_cut_value = baseline::stoer_wagner(g).value;  // local computation at root
+  out.min_cut_value = umc::min_cut_value(g);  // local computation at root
   return out;
 }
 

@@ -4,7 +4,9 @@
 // (one edge descriptor per tree-edge per round, greedy pipelining) and solve
 // min-cut centrally there. Θ(D + m) rounds — the strawman every sublinear
 // algorithm in the paper's Section 1 is compared against; experiment E11
-// measures the crossover against the shortcut-compiled algorithm.
+// measures the crossover against the shortcut-compiled algorithm. The root
+// computes umc::min_cut_value, not the Stoer–Wagner audit oracle, so the
+// fault sweep's oracle checks an independent implementation.
 
 #include <cstdint>
 

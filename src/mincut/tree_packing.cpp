@@ -5,7 +5,6 @@
 #include <cmath>
 #include <memory>
 
-#include "baseline/stoer_wagner.hpp"
 #include "graph/properties.hpp"
 #include "mincut/packing_cache.hpp"
 #include "minoragg/boruvka.hpp"
@@ -209,8 +208,9 @@ TreePacking pack(const WeightedGraph& g, Rng& rng, minoragg::Ledger& ledger,
 
   if (!ckpt.setup_done) {
     minoragg::Ledger setup;
-    // Seed lambda (substitution for the [17] approx black box; see header).
-    const Weight lambda_seed = baseline::stoer_wagner(g).value;
+    // Seed lambda exactly (substitution for the [17] approx black box; see
+    // header).
+    const Weight lambda_seed = min_cut_value(g);
     setup.charge(logn * logn);  // the approx-min-cut's polylog round budget
     std::vector<Weight> multiplicity;
     bool sampled = false;
@@ -240,7 +240,7 @@ TreePacking pack(const WeightedGraph& g, Rng& rng, minoragg::Ledger& ledger,
         }
         // The sampled min-cut value = Theta(C log n) whp; seed the
         // iteration count from it exactly (same substitution as above).
-        iterations = cap(2 * baseline::stoer_wagner(sample).value * logm);
+        iterations = cap(2 * min_cut_value(sample) * logm);
         break;
       }
     }

@@ -11,8 +11,12 @@
 //
 // Substitution (documented in DESIGN.md): the (1+eps)-approximation of
 // lambda used to set the sampling rate is cited prior work [17] in the
-// paper; this implementation seeds it with the exact Stoer-Wagner value and
-// charges a polylog placeholder round cost for it.
+// paper; this implementation seeds it with the exact value (lambda_bar =
+// lambda, umc::min_cut_value: Nagamochi-Ono-Ibaraki, near-linear on these
+// graphs), takes the sample's exact value the same way in case (B), and
+// charges a polylog placeholder round cost for it. An approximate seed
+// would move the case choice, p, the rng draws and the iteration count;
+// the exact one keeps every tree and counter of the committed baselines.
 
 #include <functional>
 #include <vector>
@@ -70,7 +74,7 @@ struct PackingConfig {
 
 struct TreePacking {
   std::vector<std::vector<EdgeId>> trees;  // edge ids of the input graph
-  Weight lambda_seed = 0;                  // min-cut estimate used
+  Weight lambda_seed = 0;                  // exact min-cut value of g
   bool sampled = false;                    // took the Karger-sampling route
 };
 

@@ -18,11 +18,13 @@
 // tree. Simulated round counts are reported by the benches and
 // tools/fault_sweep, not by the service.
 //
-// Shutdown: SIGINT/SIGTERM (or a SHUTDOWN frame) stops admission — further
-// data-plane requests are answered with a structured SHUTTING_DOWN error —
-// drains queued and in-flight solves, flushes the trace and metrics sinks,
-// and exits 0. EOF on stdin is the normal client hang-up and drains the
-// same way.
+// Shutdown: SIGINT/SIGTERM stops admission, drains queued and in-flight
+// solves, flushes the trace and metrics sinks, and exits 0 without waiting
+// for EOF. A SHUTDOWN frame only stops admission: its reply reports the
+// queued backlog (`draining=`), and the daemon keeps reading stdin,
+// answering later data-plane requests with a structured SHUTTING_DOWN error
+// (control-plane frames still answer) until EOF. EOF on stdin is the normal
+// client hang-up: the daemon drains, flushes and exits 0.
 //
 //   --width          request workers (cross-tenant concurrency; default 2)
 //   --max-sessions   resident-session LRU ceiling (default 16)
